@@ -16,6 +16,11 @@ every class is emitted exactly once, as its representative, with no global
 duplicate set.  Candidate rows are scanned in structural order, which makes
 the output stream sorted by flattening and bit-identical across thread
 budgets and checkpoint splits.
+
+Value-only searches (the largest inverse entry) test canonicality on
+prefixes only: duplicates cannot change a maximum, so each final-depth batch
+is reduced to its largest beta and the leaves attaining it, and only the
+winning leaf is tested at the end.
 """
 
 from __future__ import annotations
@@ -282,15 +287,6 @@ def _grow_minors(n: int, k: int, minors: np.ndarray, rows_arr: np.ndarray) -> np
     return rows_arr @ w
 
 
-def _prefix_minors(rows: list[tuple[int, ...]], n: int) -> np.ndarray:
-    k = len(rows)
-    arr = np.array(rows, dtype=np.int64)
-    minors = arr[0]
-    for d in range(1, k):
-        minors = _grow_minors(n, d, minors, arr[d : d + 1])[0]
-    return minors
-
-
 def _jacobi_cap(n: int, depth: int, alpha: int, beta_cap: int | None) -> int | None:
     """Bound on depth x depth minors implied by a capped inverse, if useful."""
     if beta_cap is None or depth >= n:
@@ -354,43 +350,6 @@ def _cofactor_tables(n: int):
     return tables
 
 
-def _inverse_entries(rows, n: int, det: int) -> tuple[int, ...]:
-    """Exact inverse of a unimodular matrix given as row tuples, flattened.
-
-    Pure integer arithmetic sized for the search loop: O(n 2^n) products via
-    cached Laplace tables instead of repeated recursive expansions.
-    """
-    if n == 1:
-        return (det,)
-    tops = [[1]]
-    cur = [1]
-    for i in range(n - 1):
-        table = _grow_table_py(n, i, False)
-        row = rows[i]
-        cur = [sum(sign * row[c] * cur[p] for c, p, sign in terms) for terms in table]
-        tops.append(cur)
-    bots = [None] * n
-    bots[n - 1] = [1]
-    cur = [1]
-    for i in range(n - 2, -1, -1):
-        table = _grow_table_py(n, n - 2 - i, True)
-        row = rows[i + 1]
-        cur = [sum(sign * row[c] * cur[p] for c, p, sign in terms) for terms in table]
-        bots[i] = cur
-    cof = _cofactor_tables(n)
-    inv = [0] * (n * n)
-    for i in range(n):
-        tops_i = tops[i]
-        bots_i = bots[i]
-        cof_i = cof[i]
-        for j in range(n):
-            acc = 0
-            for sign, t_idx, b_idx in cof_i[j]:
-                acc += sign * tops_i[t_idx] * bots_i[b_idx]
-            inv[j * n + i] = acc * det
-    return tuple(inv)
-
-
 # --------------------------------------------------------------------------
 # the depth-first generator
 
@@ -416,9 +375,24 @@ def _key_row(row) -> tuple[int, ...]:
     return tuple(x if x > 0 else (0 if x == 0 else _BIG - x) for x in row)
 
 
+def _is_canonical(entries, n: int) -> bool:
+    """The engine's zero-tolerant canonicality test on a row-major matrix."""
+    rows = [tuple(entries[i * n : (i + 1) * n]) for i in range(n)]
+    return minimize_rows(rows, n, _BIG, _BASE, target=[_key_row(r) for r in rows]) is not None
+
+
 class _Generator:
-    def __init__(self, params: _SearchParams):
+    """Depth-first orderly search.
+
+    An enumeration collects canonical leaves into `found`, bucketed by their
+    attained (alpha, beta).  A value-only search instead keeps `best_beta`,
+    the largest beta over leaves attaining alpha (0 while there is none),
+    and `tied`, every leaf attaining it in search order.
+    """
+
+    def __init__(self, params: _SearchParams, value_only: bool = False):
         self.p = params
+        self.value_only = value_only
         self.n = params.n
         (
             self.rows_arr,
@@ -431,6 +405,8 @@ class _Generator:
         self.nodes = 0
         self.budget: int | None = None
         self.found: dict[tuple[int, int], list] = {}
+        self.best_beta = 0
+        self.tied: list[list[int]] = []
 
     def _spend(self):
         self.nodes += 1
@@ -469,21 +445,6 @@ class _Generator:
                 # these minors are the last inverse column, up to signs
                 keep &= absg.min(axis=1) > 0
         return idx[keep], grown[keep]
-
-    def _accept(self, rows, krows, det: int):
-        n = self.n
-        inv = _inverse_entries(rows, n, det)
-        if self.p.require_zerofree and 0 in inv:
-            return
-        beta = max(abs(x) for x in inv)
-        if self.p.beta_cap is not None and beta > self.p.beta_cap:
-            return
-        if minimize_rows(rows, n, _BIG, _BASE, target=krows) is None:
-            return
-        entries = tuple(itertools.chain.from_iterable(rows))
-        alpha = max(abs(x) for x in entries)
-        positive = all(x > 0 for x in entries)
-        self.found.setdefault((alpha, beta), []).append((entries, positive, det))
 
     def _accept_batch(self, rows, krows, idx, dets):
         """Final-depth acceptance for a whole candidate batch.
@@ -544,6 +505,19 @@ class _Generator:
         betas = absinv.max(axis=1)
         if self.p.beta_cap is not None:
             keep &= betas <= self.p.beta_cap
+        if self.value_only:
+            prefix = [x for row in rows for x in row]
+            attained = np.maximum(np.abs(cand).max(axis=1), max(map(abs, prefix), default=0))
+            keep &= attained == self.p.alpha
+            if not keep.any():
+                return
+            beta = int(betas[keep].max())
+            if beta < self.best_beta:
+                return
+            if beta > self.best_beta:
+                self.best_beta, self.tied = beta, []
+            self.tied.extend(prefix + leaf for leaf in cand[keep & (betas == beta)].tolist())
+            return
         for pos in np.flatnonzero(keep):
             i = int(idx[pos])
             row = self.row_tuples[i]
@@ -597,17 +571,20 @@ class _Generator:
                 )
 
     def run_prefixes(self, stop_depth: int):
-        """Stage 1: every accepted prefix of `stop_depth` rows, in order."""
+        """Stage 1: every accepted prefix of `stop_depth` rows, in order.
+
+        At n = 1 the first row is also the last, so the leaves are searched
+        here, through the same batch leaf step as every other n.
+        """
         out = []
+        if self.n == 1:
+            first_mask = self.packed == self.rowmin
+            self._descend([], [], np.ones(1, dtype=np.int64), (0,), first_mask, 0, 0, 1, None)
+            return out
         for i in self.first_rows:
             i = int(i)
             row = self.row_tuples[i]
             minors = self.rows_arr[i]
-            if self.n == 1:
-                if abs(int(minors[0])) == 1:
-                    self._spend()
-                    self._accept([row], [_key_row(row)], int(minors[0]))
-                continue
             if np.gcd.reduce(np.abs(minors)) != 1:
                 continue
             cap = _jacobi_cap(self.n, 1, self.p.alpha, self.p.beta_cap)
@@ -644,6 +621,18 @@ class _Generator:
             rows, krows, minors, tuple(profs), base_mask, packs[-1], len(rows), n + 1, None
         )
 
+    def payload(self) -> dict:
+        """This search's result as a JSON-ready work-unit record."""
+        if self.value_only:
+            return {"nodes": self.nodes, "beta": self.best_beta, "tied": self.tied}
+        return {
+            "nodes": self.nodes,
+            "found": {
+                f"{a},{b}": [[list(e), pos, det] for e, pos, det in hits]
+                for (a, b), hits in self.found.items()
+            },
+        }
+
 
 # --------------------------------------------------------------------------
 # work units, checkpoints, merging
@@ -660,26 +649,23 @@ def _params_dict(p: _SearchParams) -> dict:
     }
 
 
-def _unit_worker(args):
-    params_dict, index, rows = args
-    params = _SearchParams(**params_dict)
-    gen = _Generator(params)
-    rows = [tuple(r) for r in rows]
-    gen.run_subtree(rows, _prefix_minors(rows, params.n))
-    found = {
-        f"{a},{b}": [[list(e), pos, det] for e, pos, det in hits]
-        for (a, b), hits in gen.found.items()
-    }
-    return index, {"nodes": gen.nodes, "found": found}
+def _run_unit(params: _SearchParams, value_only: bool, rows, minors, budget=None) -> dict:
+    """Search below one stored prefix and return the unit's payload.
+
+    The single unit function of serial and pool runs; raises _NodeBudget
+    once more than `budget` nodes are spent.
+    """
+    gen = _Generator(params, value_only)
+    gen.budget = budget
+    gen.run_subtree(rows, minors)
+    return gen.payload()
 
 
 @dataclass
 class _RawResult:
-    buckets: dict[tuple[int, int], list]
+    units: list[dict]  # payloads of the finished work units, in unit order
     nodes: int
     complete: bool
-    units_total: int
-    units_done: int
 
 
 def _merge_units(unit_payloads) -> dict[tuple[int, int], list]:
@@ -693,24 +679,41 @@ def _merge_units(unit_payloads) -> dict[tuple[int, int], list]:
     return buckets
 
 
+def _merge_best(unit_payloads) -> tuple[int, list]:
+    """Largest beta over value-only payloads, with its tied leaves in unit order."""
+    best, tied = 0, []
+    for payload in unit_payloads:
+        if payload["beta"] > best:
+            best, tied = payload["beta"], []
+        if payload["beta"] == best:
+            tied.extend(payload["tied"])
+    return best, tied
+
+
 def _run_search(
     params: _SearchParams,
     *,
+    value_only: bool = False,
     thread_budget: int = 1,
     node_limit: int | None = None,
     checkpoint_path: str | None = None,
     resume: bool = False,
     stop_after_units: int | None = None,
 ) -> _RawResult:
-    gen = _Generator(params)
+    """Stage 1 lists the work units; stage 2 runs each one, serially or in a pool.
+
+    `value_only` selects the payload kind and is never part of a checkpoint
+    query; only enumerations pass a checkpoint path.
+    """
+    gen = _Generator(params, value_only)
     gen.budget = node_limit
     unit_depth = min(2, params.n - 1) if params.n > 1 else 1
     try:
         prefixes = gen.run_prefixes(unit_depth)
     except _NodeBudget:
-        return _RawResult({}, gen.nodes, False, 0, 0)
+        return _RawResult([], gen.nodes, False)
     if params.n == 1:
-        return _RawResult(dict(gen.found), gen.nodes, True, 0, 0)
+        return _RawResult([gen.payload()], gen.nodes, True)
     stage_nodes = gen.nodes
 
     completed: dict[int, dict] = {}
@@ -734,7 +737,6 @@ def _run_search(
             )
 
     pending = [i for i in range(len(prefixes)) if i not in completed]
-    params_dict = _params_dict(params)
     complete = True
     done_this_run = 0
 
@@ -753,15 +755,11 @@ def _run_search(
             if stop_after_units is not None and done_this_run >= stop_after_units:
                 complete = False
                 break
-            rows, minors = prefixes[index]
-            sub = _Generator(params)
-            sub.budget = left
             try:
-                sub.run_subtree(rows, minors)
+                completed[index] = _run_unit(params, value_only, *prefixes[index], left)
             except _NodeBudget:
                 complete = False
                 break
-            completed[index] = _unit_payload(sub)
             done_this_run += 1
             write_checkpoint()
     else:
@@ -772,12 +770,10 @@ def _run_search(
                 if len(batch) < len(pending):
                     complete = False
             futures = [
-                pool.submit(_unit_worker, (params_dict, i, prefixes[i][0]))
-                for i in batch
+                pool.submit(_run_unit, params, value_only, *prefixes[i]) for i in batch
             ]
-            for fut in futures:
-                index, payload = fut.result()
-                completed[index] = payload
+            for index, fut in zip(batch, futures):
+                completed[index] = fut.result()
                 done_this_run += 1
                 write_checkpoint()
                 left = budget_left()
@@ -790,18 +786,7 @@ def _run_search(
     if complete and len(completed) != len(prefixes):
         complete = False
     nodes = stage_nodes + sum(p["nodes"] for p in completed.values())
-    buckets = _merge_units(completed[i] for i in sorted(completed))
-    return _RawResult(buckets, nodes, complete, len(prefixes), len(completed))
-
-
-def _unit_payload(gen: _Generator) -> dict:
-    return {
-        "nodes": gen.nodes,
-        "found": {
-            f"{a},{b}": [[list(e), pos, det] for e, pos, det in hits]
-            for (a, b), hits in gen.found.items()
-        },
-    }
+    return _RawResult([completed[i] for i in sorted(completed)], nodes, complete)
 
 
 # --------------------------------------------------------------------------
@@ -867,7 +852,7 @@ def enumerate_classes(
         resume=resume,
         stop_after_units=_stop_after_units,
     )
-    hits = _select(raw.buckets, q.alpha, lo, hi)
+    hits = _select(_merge_units(raw.units), q.alpha, lo, hi)
     positive_count = sum(1 for h in hits if h[2])
     classes = () if q.count_only else tuple(_classes_from_bucket(q.n, hits))
     return EnumerationResult(
@@ -921,9 +906,10 @@ def sequence_scan(
     )
     if not raw.complete:
         raise IncompleteSearchError("scan hit its node limit; counts would be wrong")
+    buckets = _merge_units(raw.units)
     rows = []
     for beta in range(beta_range[0], beta_range[1] + 1):
-        items = raw.buckets.get((alpha, beta), [])
+        items = buckets.get((alpha, beta), [])
         rows.append((beta, len(items), sum(1 for _, pos, _ in items if pos)))
     return rows
 
@@ -955,6 +941,11 @@ def max_beta_search(
     matrix and its inverse).  For n <= 5 the search is exhaustive and the
     result certified; larger n requires best_effort=True plus a node limit,
     and the answer is then only a lower bound.
+
+    The witness is the structurally smallest canonical maximiser in the
+    engine's zero-first order 0 < 1 < 2 < ... < -1 < -2 < ..., which is the
+    first canonical maximiser in search order.  The search tests
+    canonicality only on prefixes, then once more on the winning leaves.
     """
     if mode not in ("zerofree", "unrestricted"):
         raise ValueError("mode must be 'zerofree' or 'unrestricted'")
@@ -976,28 +967,30 @@ def max_beta_search(
     )
     raw = _run_search(
         params,
+        value_only=True,
         thread_budget=thread_budget or default_thread_budget(),
         node_limit=node_limit,
     )
-    best = None
-    for (a, b), items in sorted(raw.buckets.items()):
-        if a != alpha:
-            continue
-        for entries, _, _ in items:
-            if best is None or b > best[0]:
-                best = (b, entries)
-    if best is None:
-        raise ValueError(f"no unimodular matrix attains max |entry| = {alpha} for n = {n}")
-    certified = raw.complete and n <= 5
-    if not raw.complete and not best_effort:
+    beta_max, tied = _merge_best(raw.units)
+    if not raw.complete and (not beta_max or not best_effort):
         raise IncompleteSearchError("search stopped early; rerun with a larger budget")
+    if not beta_max:
+        raise ValueError(f"no unimodular matrix attains max |entry| = {alpha} for n = {n}")
+    # A leaf's canonical form is a leaf of the same or an earlier unit, and the
+    # finished units are a prefix of the unit order, so the smallest tied leaf
+    # is canonical: the first test passes.
+    for leaf in tied:
+        if _is_canonical(leaf, n):
+            break
+    else:
+        raise RuntimeError("no tied leaf passed the canonicality test")
     return MaxBetaResult(
         n=n,
         alpha=alpha,
         mode=mode,
-        beta_max=best[0],
-        witness=IntMatrix(n, best[1]),
-        certified=certified,
+        beta_max=beta_max,
+        witness=IntMatrix(n, tuple(leaf)),
+        certified=raw.complete and n <= 5,
         nodes_explored=raw.nodes,
     )
 
@@ -1045,9 +1038,10 @@ def verify_conjecture(conjecture_id: int, *, thread_budget: int | None = None) -
     raw = _run_search(params, thread_budget=thread_budget or default_thread_budget())
     if not raw.complete:
         raise IncompleteSearchError("conjecture search did not run to completion")
+    buckets = _merge_units(raw.units)
     cases = []
     for beta in range(lo, hi + 1):
-        count = len(raw.buckets.get((alpha, beta), []))
+        count = len(buckets.get((alpha, beta), []))
         cases.append((n, alpha, beta, count))
     confirmed = all(c[3] == 0 for c in cases)
     return ConjectureReport(

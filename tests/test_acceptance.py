@@ -202,6 +202,16 @@ def test_t3_conjecture_3():
 
 
 @pytest.mark.long_run
+def test_t3_max_beta_n5_zerofree():
+    res = max_beta_search(5, 2, "zerofree")
+    report(
+        "max inverse entry for n=5 alpha=2 zerofree: 182, certified",
+        res.beta_max == BETA_ZEROFREE[5] and res.certified,
+        f"beta_max={res.beta_max} certified={res.certified} nodes={res.nodes_explored}",
+    )
+
+
+@pytest.mark.long_run
 def test_t3_5x5_classes():
     result = enumerate_classes(ClassQuery(5, 2, 3, long_run=True))
     ok = entry_sets(result) == reference_set(KNOWN_CLASSES[(5, 2, 3)])

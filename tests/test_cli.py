@@ -121,6 +121,19 @@ def test_maxbeta(capsys):
     assert out.splitlines()[0].startswith("beta_max=6")
 
 
+# Stage 1 of this search spends 788 nodes: the limits stop it there and
+# inside the first work unit, before any leaf is reached.
+@pytest.mark.parametrize("limit", ["100", "2000"])
+def test_maxbeta_truncated_without_result_is_incomplete(capsys, limit):
+    code, out, err = run(
+        capsys,
+        "maxbeta", "--n", "6", "--alpha", "2", "--best-effort", "--node-limit", limit,
+    )
+    assert code == 3
+    assert out == ""
+    assert "no unimodular matrix" not in err
+
+
 def test_n2_table(capsys):
     code, out, _ = run(capsys, "n2", "--kmax", "7")
     assert code == 0

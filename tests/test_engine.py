@@ -10,6 +10,7 @@ from zerofree.engine import (
     ClassQuery,
     IncompleteSearchError,
     TierGateError,
+    _is_canonical,
     enumerate_classes,
     load_checkpoint,
     max_beta_search,
@@ -78,6 +79,7 @@ def test_enumerate_n1():
     result = enumerate_classes(ClassQuery(1, 1, 1))
     assert result.total_count == 1
     assert result.classes[0].rep == IntMatrix(1, (1,))
+    assert result.nodes_explored == 1
 
 
 def test_every_emitted_class_is_sound():
@@ -208,6 +210,36 @@ def test_max_beta_unrestricted_2x2_brute_force():
         best = max(best, adjugate_inverse(m).max_abs())
     res = max_beta_search(2, 2, "unrestricted")
     assert res.beta_max == best == 2
+
+
+# (n, mode, beta_max, nodes_explored, witness) at alpha = 2.  The witness is
+# the first canonical maximiser in search order; a process pool must
+# reproduce the serial result exactly.
+MAX_BETA_WITNESSES = [
+    (2, "unrestricted", 2, 15, "0 1 1 2"),
+    (2, "zerofree", 2, 4, "1 1 1 2"),
+    (3, "zerofree", 5, 42, "1 1 2 1 -2 -2 2 -2 -1"),
+    (3, "unrestricted", 6, 687, "0 0 1 0 1 2 1 2 -2"),
+    (4, "zerofree", 26, 5404, "1 1 1 2 1 2 2 1 1 2 -2 -2 2 2 -1 2"),
+    (4, "unrestricted", 30, 288752, "0 0 1 1 0 1 2 2 1 2 1 -2 1 -2 2 -2"),
+]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n, mode, beta, nodes, witness", MAX_BETA_WITNESSES)
+def test_max_beta_witness_regression(n, mode, beta, nodes, witness, threads):
+    res = max_beta_search(n, 2, mode, thread_budget=threads)
+    entries = tuple(int(x) for x in witness.split())
+    assert (res.beta_max, res.nodes_explored, res.witness.entries) == (beta, nodes, entries)
+    assert res.certified
+    assert _is_canonical(entries, n)
+
+
+@pytest.mark.parametrize("mode", ["zerofree", "unrestricted"])
+def test_max_beta_n1(mode):
+    res = max_beta_search(1, 1, mode)
+    assert (res.beta_max, res.witness.entries, res.nodes_explored) == (1, (1,), 1)
+    assert res.certified
 
 
 def test_max_beta_requires_best_effort_for_large_n():
