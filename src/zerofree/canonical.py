@@ -138,15 +138,6 @@ def apply(g: GroupElement, m: IntMatrix) -> IntMatrix:
     return IntMatrix(n, tuple(out))
 
 
-def _entry_key(x: int, big: int) -> int:
-    # internal variant: tolerates 0 (sorts before every nonzero value)
-    if x > 0:
-        return x
-    if x == 0:
-        return 0
-    return big - x
-
-
 def minimize_rows(rows, ncols, big=_BIG, base=_BASE, target=None):
     """Minimal flattening of a k x ncols block under the double action.
 

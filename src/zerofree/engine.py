@@ -32,7 +32,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from math import factorial
 
@@ -89,6 +89,10 @@ class ClassQuery:
 
     `beta` is either an exact value or an inclusive (low, high) range; ranges
     are how sequence scans ask for every bucket in one pass.
+
+    `node_limit` truncates the search to the longest prefix of its work
+    units, in unit order, whose nodes fit the limit; the truncated result
+    is the same for every `thread_budget`.
     """
 
     n: int
@@ -255,8 +259,13 @@ def _space(n: int, alpha: int, zeros_allowed: bool, positive_only: bool):
 
 
 @lru_cache(maxsize=64)
-def _ext_table(n: int, k: int):
-    """Laplace data to grow k-column minors into (k+1)-column minors."""
+def _ext_table(n: int, k: int, first_row: bool = False):
+    """Laplace data to grow k-column minors into (k+1)-column minors.
+
+    One entry per term: the new row's column, the (k+1)-subset, the parent
+    k-subset and the sign.  first_row expands along a prepended row (sign
+    (-1)^j), otherwise along an appended row (sign (-1)^(k+j)).
+    """
     parents = {T: i for i, T in enumerate(itertools.combinations(range(n), k))}
     cols, tpos, pidx, sgn = [], [], [], []
     t = -1
@@ -265,7 +274,7 @@ def _ext_table(n: int, k: int):
             cols.append(c)
             tpos.append(t)
             pidx.append(parents[T[:j] + T[j + 1 :]])
-            sgn.append(-1 if (k + j) % 2 else 1)
+            sgn.append(-1 if (j if first_row else k + j) % 2 else 1)
     return (
         np.array(cols),
         np.array(tpos),
@@ -296,32 +305,16 @@ def _jacobi_cap(n: int, depth: int, alpha: int, beta_cap: int | None) -> int | N
     return bound if bound < natural else None
 
 
-@lru_cache(maxsize=64)
-def _grow_table_py(n: int, k: int, first_row: bool):
-    """Laplace terms growing k-column minors by one row, as Python lists.
-
-    first_row expands along a prepended row (sign (-1)^j), otherwise along an
-    appended row (sign (-1)^(k+j)).
-    """
-    parents = {T: i for i, T in enumerate(itertools.combinations(range(n), k))}
-    out = []
-    for T in itertools.combinations(range(n), k + 1):
-        terms = []
-        for j, c in enumerate(T):
-            exp = j if first_row else k + j
-            terms.append((c, parents[T[:j] + T[j + 1 :]], -1 if exp % 2 else 1))
-        out.append(terms)
-    return out
-
-
 @lru_cache(maxsize=16)
 def _cofactor_tables(n: int):
-    """Terms assembling cofactor(i, j) from top-block and bottom-block minors.
+    """Index arrays assembling the cofactors of row i from block minors.
 
     Deleting row i and column j splits the remaining rows into the block
     above row i and the block below it; a generalized Laplace expansion by
     the top block expresses the cofactor through i-column minors of the top
-    and (n-1-i)-column minors of the bottom.
+    and (n-1-i)-column minors of the bottom.  Entry i is the arrays
+    (bottom, j, top, sign), one element per term; no (bottom, j) pair
+    repeats, so each cofactor matrix is one fancy-index assignment.
     """
     comb_index = {
         size: {T: t for t, T in enumerate(itertools.combinations(range(n), size))}
@@ -329,24 +322,23 @@ def _cofactor_tables(n: int):
     }
     tables = []
     for i in range(n):
-        per_j = []
+        terms = []
         for j in range(n):
             cols = [c for c in range(n) if c != j]
             pos = {c: p for p, c in enumerate(cols)}
-            terms = []
             for s_cols in itertools.combinations(cols, i):
                 s_set = set(s_cols)
                 comp = tuple(c for c in cols if c not in s_set)
                 sigma = sum(pos[c] for c in s_cols) + i * (i - 1) // 2 + i + j
                 terms.append(
                     (
-                        -1 if sigma % 2 else 1,
-                        comb_index[i][s_cols],
                         comb_index[n - 1 - i][comp],
+                        j,
+                        comb_index[i][s_cols],
+                        -1 if sigma % 2 else 1,
                     )
                 )
-            per_j.append(terms)
-        tables.append(per_j)
+        tables.append(tuple(np.array(col, dtype=np.int64) for col in zip(*terms)))
     return tables
 
 
@@ -408,8 +400,8 @@ class _Generator:
         self.best_beta = 0
         self.tied: list[list[int]] = []
 
-    def _spend(self):
-        self.nodes += 1
+    def _spend(self, count: int = 1):
+        self.nodes += count
         if self.budget is not None and self.nodes > self.budget:
             raise _NodeBudget
 
@@ -457,46 +449,26 @@ class _Generator:
         n = self.n
         m = len(idx)
         cand = self.rows_arr[idx]
-        # tops[i]: i-column minors of the shared rows[0..i-1] (plain ints)
-        tops = [[1]]
-        cur = [1]
+        # tops[i]: i-column minors of the shared rows[0..i-1]
+        tops = [np.ones(1, dtype=np.int64)]
         for i in range(n - 1):
-            table = _grow_table_py(n, i, False)
-            row = rows[i]
-            cur = [
-                sum(sign * row[c] * cur[p] for c, p, sign in terms) for terms in table
-            ]
-            tops.append(cur)
-        # bots[i]: (n-1-i)-column minors of rows[i+1..n-1] per candidate
-        bots: dict[int, np.ndarray] = {n - 2: cand}
-        cur_arr = cand
+            tops.append(_grow_minors(n, i, tops[i], np.array(rows[i], dtype=np.int64)))
+        # bots[i]: (n-1-i)-column minors of rows[i+1..n-1] per candidate, built
+        # upwards from the empty block below the last row
+        bots = [np.ones((m, 1), dtype=np.int64)]
+        if n > 1:
+            bots.append(cand)
         for i in range(n - 3, -1, -1):
-            table = _grow_table_py(n, n - 2 - i, True)
-            row = rows[i + 1]
-            v = np.zeros((cur_arr.shape[1], len(table)), dtype=np.int64)
-            for t, terms in enumerate(table):
-                for c, p, sign in terms:
-                    v[p, t] = sign * row[c]
-            cur_arr = cur_arr @ v
-            bots[i] = cur_arr
-        cof = _cofactor_tables(n)
+            cols, tpos, pidx, sgn, s_next = _ext_table(n, n - 2 - i, True)
+            v = np.zeros((bots[-1].shape[1], s_next), dtype=np.int64)
+            v[pidx, tpos] = sgn * np.array(rows[i + 1], dtype=np.int64)[cols]
+            bots.append(bots[-1] @ v)
+        bots.reverse()
         inv = np.empty((m, n * n), dtype=np.int64)
-        for i in range(n - 1):
+        for i, (bottom, j, top, sign) in enumerate(_cofactor_tables(n)):
             assemble = np.zeros((bots[i].shape[1], n), dtype=np.int64)
-            tops_i = tops[i]
-            for j, terms in enumerate(cof[i]):
-                for sign, t_idx, b_idx in terms:
-                    assemble[b_idx, j] += sign * tops_i[t_idx]
+            assemble[bottom, j] = sign * tops[i][top]
             inv[:, i::n] = bots[i] @ assemble
-        # bottom block for i = n-1 is empty: cofactors are shared prefix minors
-        last = np.empty(n, dtype=np.int64)
-        tops_last = tops[n - 1]
-        for j, terms in enumerate(cof[n - 1]):
-            acc = 0
-            for sign, t_idx, b_idx in terms:
-                acc += sign * tops_last[t_idx]
-            last[j] = acc
-        inv[:, n - 1 :: n] = last
         inv *= dets[:, None]
         absinv = np.abs(inv)
         keep = np.ones(m, dtype=bool)
@@ -539,9 +511,7 @@ class _Generator:
         n = self.n
         if depth + 1 == n:
             if len(idx):
-                self.nodes += len(idx)
-                if self.budget is not None and self.nodes > self.budget:
-                    raise _NodeBudget
+                self._spend(len(idx))
                 self._accept_batch(rows, krows, idx, grown[:, 0])
             return
         for pos in range(len(idx)):
@@ -638,26 +608,18 @@ class _Generator:
 # work units, checkpoints, merging
 
 
-def _params_dict(p: _SearchParams) -> dict:
-    return {
-        "n": p.n,
-        "alpha": p.alpha,
-        "beta_cap": p.beta_cap,
-        "zeros_allowed": p.zeros_allowed,
-        "positive_only": p.positive_only,
-        "require_zerofree": p.require_zerofree,
-    }
-
-
-def _run_unit(params: _SearchParams, value_only: bool, rows, minors, budget=None) -> dict:
+def _run_unit(params: _SearchParams, value_only: bool, rows, minors, budget) -> dict | None:
     """Search below one stored prefix and return the unit's payload.
 
-    The single unit function of serial and pool runs; raises _NodeBudget
-    once more than `budget` nodes are spent.
+    The single unit function of serial and pool runs; returns None once
+    more than `budget` nodes are spent.
     """
     gen = _Generator(params, value_only)
     gen.budget = budget
-    gen.run_subtree(rows, minors)
+    try:
+        gen.run_subtree(rows, minors)
+    except _NodeBudget:
+        return None
     return gen.payload()
 
 
@@ -702,8 +664,10 @@ def _run_search(
 ) -> _RawResult:
     """Stage 1 lists the work units; stage 2 runs each one, serially or in a pool.
 
-    `value_only` selects the payload kind and is never part of a checkpoint
-    query; only enumerations pass a checkpoint path.
+    A truncated search keeps the longest prefix of units, in unit order,
+    whose nodes fit `node_limit`, so its result is the same for every
+    worker count.  `value_only` selects the payload kind and is never part
+    of a checkpoint query; only enumerations pass a checkpoint path.
     """
     gen = _Generator(params, value_only)
     gen.budget = node_limit
@@ -714,14 +678,13 @@ def _run_search(
         return _RawResult([], gen.nodes, False)
     if params.n == 1:
         return _RawResult([gen.payload()], gen.nodes, True)
-    stage_nodes = gen.nodes
 
     completed: dict[int, dict] = {}
     if resume:
         if checkpoint_path is None:
             raise CheckpointError("resume requested without a checkpoint file")
         cp = load_checkpoint(checkpoint_path)
-        if cp.query != _params_dict(params):
+        if cp.query != asdict(params):
             raise CheckpointError("checkpoint belongs to a different query")
         if cp.total_units != len(prefixes):
             raise CheckpointError("checkpoint unit count disagrees with this search")
@@ -732,60 +695,43 @@ def _run_search(
             save_checkpoint(
                 checkpoint_path,
                 SearchCheckpoint(
-                    CHECKPOINT_VERSION, _params_dict(params), len(prefixes), completed
+                    CHECKPOINT_VERSION, asdict(params), len(prefixes), completed
                 ),
             )
 
-    pending = [i for i in range(len(prefixes)) if i not in completed]
-    complete = True
-    done_this_run = 0
+    todo = [i for i in range(len(prefixes)) if i not in completed][:stop_after_units]
+    nodes = gen.nodes + sum(p["nodes"] for p in completed.values())
 
     def budget_left() -> int | None:
-        if node_limit is None:
-            return None
-        used = stage_nodes + sum(p["nodes"] for p in completed.values())
-        return node_limit - used
+        return None if node_limit is None else node_limit - nodes
 
-    if thread_budget <= 1:
-        for index in pending:
-            left = budget_left()
-            if left is not None and left <= 0:
-                complete = False
-                break
-            if stop_after_units is not None and done_this_run >= stop_after_units:
-                complete = False
-                break
-            try:
-                completed[index] = _run_unit(params, value_only, *prefixes[index], left)
-            except _NodeBudget:
-                complete = False
-                break
-            done_this_run += 1
-            write_checkpoint()
-    else:
-        with ProcessPoolExecutor(max_workers=thread_budget) as pool:
-            batch = pending
-            if stop_after_units is not None:
-                batch = pending[:stop_after_units]
-                if len(batch) < len(pending):
-                    complete = False
+    # One ordered stream of payloads: a serial run computes each unit when
+    # the loop asks for it, with the nodes left at that point; a pool gets
+    # every unit at once, with the nodes left at submission.
+    pool = ProcessPoolExecutor(max_workers=thread_budget) if thread_budget > 1 else None
+    try:
+        if pool is None:
+            payloads = (
+                _run_unit(params, value_only, *prefixes[i], budget_left()) for i in todo
+            )
+        else:
             futures = [
-                pool.submit(_run_unit, params, value_only, *prefixes[i]) for i in batch
+                pool.submit(_run_unit, params, value_only, *prefixes[i], budget_left())
+                for i in todo
             ]
-            for index, fut in zip(batch, futures):
-                completed[index] = fut.result()
-                done_this_run += 1
-                write_checkpoint()
-                left = budget_left()
-                if left is not None and left <= 0:
-                    complete = False
-                    for other in futures:
-                        other.cancel()
-                    break
+            payloads = (fut.result() for fut in futures)
+        for index, payload in zip(todo, payloads):
+            left = budget_left()
+            if payload is None or (left is not None and payload["nodes"] > left):
+                break
+            completed[index] = payload
+            nodes += payload["nodes"]
+            write_checkpoint()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
-    if complete and len(completed) != len(prefixes):
-        complete = False
-    nodes = stage_nodes + sum(p["nodes"] for p in completed.values())
+    complete = len(completed) == len(prefixes)
     return _RawResult([completed[i] for i in sorted(completed)], nodes, complete)
 
 
@@ -815,8 +761,43 @@ def _select(buckets, alpha: int, beta_lo: int, beta_hi: int):
         if a == alpha and beta_lo <= b <= beta_hi:
             for entries, positive, det in items:
                 hits.append(((a, b), entries, positive, det))
-    hits.sort(key=lambda h: tuple(x if x > 0 else _BIG - x for x in h[1]))
+    hits.sort(key=lambda h: _key_row(h[1]))
     return hits
+
+
+def _search_classes(q: ClassQuery, **run):
+    """The one enumeration search: gate, run and bucket `q`.
+
+    Returns the hits attaining (q.alpha, beta in q's range) in ascending
+    structural order, with the raw search result.  `run` passes checkpoint
+    and stop arguments through to _run_search.
+    """
+    _gate(q)
+    lo, hi = q.beta_range
+    params = _SearchParams(
+        n=q.n,
+        alpha=q.alpha,
+        beta_cap=hi,
+        zeros_allowed=False,
+        positive_only=q.positive_only,
+        require_zerofree=True,
+    )
+    raw = _run_search(
+        params,
+        thread_budget=q.thread_budget or default_thread_budget(),
+        node_limit=q.node_limit,
+        **run,
+    )
+    return _select(_merge_units(raw.units), q.alpha, lo, hi), raw
+
+
+def _count_by_beta(hits, lo: int, hi: int) -> dict[int, list[int]]:
+    """[class count, positive count] for every beta in lo..hi."""
+    counts = {beta: [0, 0] for beta in range(lo, hi + 1)}
+    for (_, beta), _, positive, _ in hits:
+        counts[beta][0] += 1
+        counts[beta][1] += positive
+    return counts
 
 
 def enumerate_classes(
@@ -832,27 +813,16 @@ def enumerate_classes(
     attained maxima afterwards, so a range query costs one search.  Matrices
     are returned as canonical representatives in ascending structural order
     of their flattenings.
+
+    A search stopped by q.node_limit keeps the longest prefix of its work
+    units, in unit order, whose nodes fit the limit, and reports
+    complete=False; its classes and nodes_explored are the same for every
+    thread budget.
     """
-    _gate(q)
     start = time.perf_counter()
-    lo, hi = q.beta_range
-    params = _SearchParams(
-        n=q.n,
-        alpha=q.alpha,
-        beta_cap=hi,
-        zeros_allowed=False,
-        positive_only=q.positive_only,
-        require_zerofree=True,
+    hits, raw = _search_classes(
+        q, checkpoint_path=checkpoint_path, resume=resume, stop_after_units=_stop_after_units
     )
-    raw = _run_search(
-        params,
-        thread_budget=q.thread_budget or default_thread_budget(),
-        node_limit=q.node_limit,
-        checkpoint_path=checkpoint_path,
-        resume=resume,
-        stop_after_units=_stop_after_units,
-    )
-    hits = _select(_merge_units(raw.units), q.alpha, lo, hi)
     positive_count = sum(1 for h in hits if h[2])
     classes = () if q.count_only else tuple(_classes_from_bucket(q.n, hits))
     return EnumerationResult(
@@ -880,38 +850,20 @@ def sequence_scan(
 
     Zero counts are reported as rows too; the whole scan is one enumeration.
     """
+    lo, hi = beta_range
     q = ClassQuery(
         n=n,
         alpha=alpha,
-        beta=(beta_range[0], beta_range[1]),
+        beta=(lo, hi),
         positive_only=positive_only,
-        count_only=False,
         thread_budget=thread_budget,
         node_limit=node_limit,
         long_run=long_run,
     )
-    _gate(q)
-    params = _SearchParams(
-        n=n,
-        alpha=alpha,
-        beta_cap=beta_range[1],
-        zeros_allowed=False,
-        positive_only=positive_only,
-        require_zerofree=True,
-    )
-    raw = _run_search(
-        params,
-        thread_budget=q.thread_budget or default_thread_budget(),
-        node_limit=node_limit,
-    )
+    hits, raw = _search_classes(q)
     if not raw.complete:
         raise IncompleteSearchError("scan hit its node limit; counts would be wrong")
-    buckets = _merge_units(raw.units)
-    rows = []
-    for beta in range(beta_range[0], beta_range[1] + 1):
-        items = buckets.get((alpha, beta), [])
-        rows.append((beta, len(items), sum(1 for _, pos, _ in items if pos)))
-    return rows
+    return [(beta, count, pos) for beta, (count, pos) in _count_by_beta(hits, lo, hi).items()]
 
 
 @dataclass(frozen=True)
@@ -1027,22 +979,13 @@ def verify_conjecture(conjecture_id: int, *, thread_budget: int | None = None) -
             "is reachable through a long-run enumeration instead)"
         )
     n, alpha, (lo, hi) = _CONJECTURES[conjecture_id]
-    params = _SearchParams(
-        n=n,
-        alpha=alpha,
-        beta_cap=hi,
-        zeros_allowed=False,
-        positive_only=False,
-        require_zerofree=True,
-    )
-    raw = _run_search(params, thread_budget=thread_budget or default_thread_budget())
+    q = ClassQuery(n, alpha, (lo, hi), thread_budget=thread_budget, long_run=True)
+    hits, raw = _search_classes(q)
     if not raw.complete:
         raise IncompleteSearchError("conjecture search did not run to completion")
-    buckets = _merge_units(raw.units)
-    cases = []
-    for beta in range(lo, hi + 1):
-        count = len(buckets.get((alpha, beta), []))
-        cases.append((n, alpha, beta, count))
+    cases = [
+        (n, alpha, beta, count) for beta, (count, _) in _count_by_beta(hits, lo, hi).items()
+    ]
     confirmed = all(c[3] == 0 for c in cases)
     return ConjectureReport(
         conjecture_id=conjecture_id,

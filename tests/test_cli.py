@@ -122,12 +122,21 @@ def test_maxbeta(capsys):
 
 
 # Stage 1 of this search spends 788 nodes: the limits stop it there and
-# inside the first work unit, before any leaf is reached.
-@pytest.mark.parametrize("limit", ["100", "2000"])
-def test_maxbeta_truncated_without_result_is_incomplete(capsys, limit):
+# inside the first work unit, before any leaf is reached.  Pool workers get
+# the same budget, so two threads stop as quickly.
+@pytest.mark.parametrize(
+    "limit, threads",
+    [
+        pytest.param("100", "1", id="100"),
+        pytest.param("2000", "1", id="2000"),
+        pytest.param("2000", "2", id="2000-threads2"),
+    ],
+)
+def test_maxbeta_truncated_without_result_is_incomplete(capsys, limit, threads):
     code, out, err = run(
         capsys,
         "maxbeta", "--n", "6", "--alpha", "2", "--best-effort", "--node-limit", limit,
+        "--threads", threads,
     )
     assert code == 3
     assert out == ""

@@ -22,10 +22,14 @@ from zerofree.matrix import IntMatrix, RegimeError, adjugate_inverse, classify, 
 
 from known_values import (
     BETA_THEORETICAL,
+    FIVE_TWO_FOUR_HEAD,
+    FIVE_TWO_FOUR_VECTORS,
     KNOWN_CLASSES,
+    KNOWN_COUNTS,
     SCAN_3_3,
     SCAN_4_2,
 )
+from semi_oracle import semi_canonical
 
 
 def naive_classes(n: int, alpha: int) -> dict[tuple[int, int], set]:
@@ -67,6 +71,22 @@ def test_enumerate_matches_reference(key):
     assert result.complete
     assert class_entry_set(result) == as_entry_set(KNOWN_CLASSES[key])
     assert result.total_count == len(KNOWN_CLASSES[key])
+
+
+def test_five_by_five_tables_match_an_independent_canonicalizer():
+    # (5,2,3) and (5,2,4) are the cheapest 5x5 tables; every emitted
+    # representative is also checked against the engine-independent oracle
+    small = enumerate_classes(ClassQuery(5, 2, 3, long_run=True))
+    assert small.complete
+    assert class_entry_set(small) == as_entry_set(KNOWN_CLASSES[(5, 2, 3)])
+    large = enumerate_classes(ClassQuery(5, 2, 4, long_run=True))
+    assert large.complete
+    assert class_entry_set(large) == as_entry_set(FIVE_TWO_FOUR_HEAD) | {
+        tuple(v) for v in FIVE_TWO_FOUR_VECTORS
+    }
+    assert (large.total_count, large.positive_count) == KNOWN_COUNTS[(5, 2, 4)]
+    for cls in small.classes + large.classes:
+        assert semi_canonical(cls.rep) == cls.rep
 
 
 def test_empty_cases():
@@ -277,7 +297,6 @@ def test_conjecture_2():
     assert report.cases == ((4, 2, 3, 0),)
 
 
-@pytest.mark.long_run
 def test_conjecture_3():
     report = verify_conjecture(3)
     assert report.confirmed
@@ -310,6 +329,26 @@ def test_node_limit_marks_incomplete():
     limited = enumerate_classes(ClassQuery(3, 3, 5, node_limit=10))
     assert not limited.complete
     assert limited.nodes_explored <= full.nodes_explored
+
+
+# (4,3,3) spends 80,032 nodes in all: stage 1 alone exceeds 1 and 10, and
+# 80,031 stops inside the last unit that spends any.
+@pytest.mark.parametrize("limit", [1, 10, 2400, 5000, 20000, 80031, 80032])
+def test_truncation_is_independent_of_thread_budget(limit):
+    results = [
+        enumerate_classes(ClassQuery(4, 3, 3, thread_budget=threads, node_limit=limit))
+        for threads in (1, 2)
+    ]
+    one, two = (
+        (r.nodes_explored, [c.rep.entries for c in r.classes], r.complete) for r in results
+    )
+    assert one == two
+    nodes, classes, complete = one
+    # the kept units fit the limit; only a search stopped in stage 1 overshoots
+    assert nodes <= limit or not classes
+    assert complete == (limit == 80032)
+    if complete:
+        assert len(classes) == 163
 
 
 def test_scan_refuses_truncated_counts():
