@@ -348,7 +348,7 @@ def orbit_equivalent(a: IntMatrix, b: IntMatrix) -> bool:
     return canonical_form(a).entries == canonical_form(b).entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CanonicalClass:
     """A canonical representative together with its cached stats."""
 

@@ -59,7 +59,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positive-only", action="store_true")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--threads", type=int, default=None)
-    p.add_argument("--checkpoint", help="checkpoint file, written after each work unit")
+    p.add_argument("--checkpoint", help="checkpoint file, appended after each work unit")
     p.add_argument("--resume", action="store_true", help="continue from --checkpoint")
     p.add_argument("--long-run", action="store_true")
     p.add_argument("--node-limit", type=int, default=None)

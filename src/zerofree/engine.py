@@ -32,7 +32,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from math import factorial
 
@@ -50,7 +50,7 @@ _BIG = 128
 _BASE = 256
 _KEY_SHIFT = 8
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 _ENV_THREADS = "ZEROFREE_THREADS"
 
@@ -156,57 +156,101 @@ class SearchCheckpoint:
     A work unit is one accepted two-row prefix (one-row for n = 2); its
     subtree result is stored verbatim, so resuming replays nothing and the
     merged outcome is bit-identical to an uninterrupted run.
+
+    The text form is an append-only JSON-lines journal.  The first line is
+    a header with format_version, query and total_units; each further line
+    records one finished unit: its index, its payload and a sha256 digest of
+    both.  A search appends one line per finished unit.  A torn write
+    leaves one torn last line: text after the last newline, or else a last
+    line that is not JSON.  from_json drops it and counts its characters in
+    `torn_tail`.  Any other
+    malformed line, a digest mismatch, a repeated unit or a unit index out
+    of range is an error.
     """
 
     format_version: int
     query: dict
     total_units: int
     completed: dict[int, dict]
-    digest: str = ""
-
-    def payload_digest(self) -> str:
-        blob = json.dumps(
-            {str(k): self.completed[k] for k in sorted(self.completed)},
-            sort_keys=True,
-        ).encode()
-        return hashlib.sha256(blob).hexdigest()
+    torn_tail: int = field(default=0, compare=False)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "format_version": self.format_version,
-                "query": self.query,
-                "total_units": self.total_units,
-                "completed": {str(k): v for k, v in sorted(self.completed.items())},
-                "digest": self.payload_digest(),
-            },
-            sort_keys=True,
+        header = {
+            "format_version": self.format_version,
+            "query": self.query,
+            "total_units": self.total_units,
+        }
+        return json.dumps(header, sort_keys=True) + "\n" + "".join(
+            _unit_line(i, self.completed[i]) for i in sorted(self.completed)
         )
 
     @classmethod
     def from_json(cls, text: str) -> "SearchCheckpoint":
+        head, newline, body = text.partition("\n")
         try:
-            raw = json.loads(text)
+            header = json.loads(head)
         except json.JSONDecodeError as exc:
-            raise CheckpointError(f"invalid checkpoint JSON: {exc}") from exc
-        if raw.get("format_version") != CHECKPOINT_VERSION:
+            raise CheckpointError(f"invalid checkpoint header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError("checkpoint header is not a JSON object")
+        if header.get("format_version") != CHECKPOINT_VERSION:
             raise CheckpointError(
-                f"unsupported checkpoint version {raw.get('format_version')!r}"
+                f"unsupported checkpoint version {header.get('format_version')!r}"
             )
-        cp = cls(
-            format_version=raw["format_version"],
-            query=raw["query"],
-            total_units=raw["total_units"],
-            completed={int(k): v for k, v in raw["completed"].items()},
-            digest=raw.get("digest", ""),
-        )
-        if cp.digest != cp.payload_digest():
-            raise CheckpointError("checkpoint digest mismatch (file corrupted?)")
+        if (
+            not newline
+            or set(header) != {"format_version", "query", "total_units"}
+            or not isinstance(header["query"], dict)
+            or not isinstance(header["total_units"], int)
+        ):
+            raise CheckpointError("malformed checkpoint header")
+        *lines, tail = body.split("\n")
+        cp = cls(CHECKPOINT_VERSION, header["query"], header["total_units"], {}, len(tail))
+        for lineno, line in enumerate(lines, 2):
+            try:
+                record = json.loads(line)
+            except json.JSONDecodeError as exc:
+                if lineno == len(lines) + 1 and not tail:
+                    cp.torn_tail = len(line) + 1
+                    break
+                raise CheckpointError(f"invalid checkpoint line {lineno}: {exc}") from exc
+            try:
+                index, payload = record["index"], record["payload"]
+                intact = record["digest"] == _record_digest(index, payload)
+            except (KeyError, TypeError) as exc:
+                raise CheckpointError(f"malformed checkpoint line {lineno}") from exc
+            if not intact:
+                raise CheckpointError(
+                    f"checkpoint digest mismatch on line {lineno} (file corrupted?)"
+                )
+            if not isinstance(index, int) or not 0 <= index < cp.total_units:
+                raise CheckpointError(f"checkpoint unit {index!r} out of range on line {lineno}")
+            if index in cp.completed:
+                raise CheckpointError(f"checkpoint unit {index} repeated on line {lineno}")
+            cp.completed[index] = payload
         return cp
 
 
-def save_checkpoint(path: str, cp: SearchCheckpoint) -> None:
-    """Atomic write: temp file in the same directory, then rename."""
+def _record_digest(index: int, payload: dict) -> str:
+    blob = json.dumps({"index": index, "payload": payload}, sort_keys=True).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _unit_line(index: int, payload: dict) -> str:
+    record = {"digest": _record_digest(index, payload), "index": index, "payload": payload}
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def save_checkpoint(path: str, cp: SearchCheckpoint, index: int | None = None) -> None:
+    """Append the record of finished unit `index` to the journal at `path`.
+
+    Without `index`, replace the file with the whole journal of `cp`
+    atomically: temp file in the same directory, then rename.
+    """
+    if index is not None:
+        with open(path, "a") as fh:
+            fh.write(_unit_line(index, cp.completed[index]))
+        return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
     try:
@@ -220,8 +264,9 @@ def save_checkpoint(path: str, cp: SearchCheckpoint) -> None:
 
 
 def load_checkpoint(path: str) -> SearchCheckpoint:
-    with open(path) as fh:
-        return SearchCheckpoint.from_json(fh.read())
+    # latin-1 maps each byte to one character, so torn_tail counts bytes
+    with open(path, "rb") as fh:
+        return SearchCheckpoint.from_json(fh.read().decode("latin-1"))
 
 
 # --------------------------------------------------------------------------
@@ -401,9 +446,9 @@ class _Generator:
         self.tied: list[list[int]] = []
 
     def _spend(self, count: int = 1):
-        self.nodes += count
-        if self.budget is not None and self.nodes > self.budget:
+        if self.budget is not None and self.nodes + count > self.budget:
             raise _NodeBudget
+        self.nodes += count
 
     def _candidates(self, depth: int, minors: np.ndarray, base_mask, profs, prev_packed: int):
         """Vectorized filters; returns (indices, minors per candidate).
@@ -679,7 +724,7 @@ def _run_search(
     if params.n == 1:
         return _RawResult([gen.payload()], gen.nodes, True)
 
-    completed: dict[int, dict] = {}
+    cp = SearchCheckpoint(CHECKPOINT_VERSION, asdict(params), len(prefixes), {})
     if resume:
         if checkpoint_path is None:
             raise CheckpointError("resume requested without a checkpoint file")
@@ -688,16 +733,12 @@ def _run_search(
             raise CheckpointError("checkpoint belongs to a different query")
         if cp.total_units != len(prefixes):
             raise CheckpointError("checkpoint unit count disagrees with this search")
-        completed = dict(cp.completed)
-
-    def write_checkpoint():
-        if checkpoint_path is not None:
-            save_checkpoint(
-                checkpoint_path,
-                SearchCheckpoint(
-                    CHECKPOINT_VERSION, asdict(params), len(prefixes), completed
-                ),
-            )
+        if cp.torn_tail:
+            # cut the torn last write, so the next record starts its own line
+            os.truncate(checkpoint_path, os.path.getsize(checkpoint_path) - cp.torn_tail)
+    elif checkpoint_path is not None:
+        save_checkpoint(checkpoint_path, cp)
+    completed = cp.completed
 
     todo = [i for i in range(len(prefixes)) if i not in completed][:stop_after_units]
     nodes = gen.nodes + sum(p["nodes"] for p in completed.values())
@@ -726,7 +767,8 @@ def _run_search(
                 break
             completed[index] = payload
             nodes += payload["nodes"]
-            write_checkpoint()
+            if checkpoint_path is not None:
+                save_checkpoint(checkpoint_path, cp, index)
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)

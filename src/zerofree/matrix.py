@@ -25,7 +25,7 @@ class NotUnimodularError(ValueError):
     """Matrix determinant is not +1 or -1."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IntMatrix:
     """Square integer matrix, row-major entries, immutable.
 
@@ -176,7 +176,7 @@ def adjugate_inverse(m: IntMatrix) -> IntMatrix:
     return IntMatrix(n, tuple(inv))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassStats:
     """Attained entry maxima and sign data for a unimodular zerofree matrix.
 

@@ -1,6 +1,8 @@
 """Search engine: class enumeration, scans, extremal searches, checkpoints."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -332,7 +334,8 @@ def test_node_limit_marks_incomplete():
 
 
 # (4,3,3) spends 80,032 nodes in all: stage 1 alone exceeds 1 and 10, and
-# 80,031 stops inside the last unit that spends any.
+# 80,031 stops inside the last unit that spends any.  A truncated result,
+# stage 1 included, never reports more nodes than its limit.
 @pytest.mark.parametrize("limit", [1, 10, 2400, 5000, 20000, 80031, 80032])
 def test_truncation_is_independent_of_thread_budget(limit):
     results = [
@@ -344,8 +347,7 @@ def test_truncation_is_independent_of_thread_budget(limit):
     )
     assert one == two
     nodes, classes, complete = one
-    # the kept units fit the limit; only a search stopped in stage 1 overshoots
-    assert nodes <= limit or not classes
+    assert nodes <= limit
     assert complete == (limit == 80032)
     if complete:
         assert len(classes) == 163
@@ -425,6 +427,152 @@ def test_checkpoint_rejects_corruption(tmp_path):
     text = path.read_text().replace('"nodes": ', '"nodes": 9')
     path.write_text(text)
     with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+def _unit_record(index, payload):
+    """One journal line, written from the format's definition."""
+    body = {"index": index, "payload": payload}
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    return json.dumps({"digest": digest, **body}, sort_keys=True) + "\n"
+
+
+def _journal_lines(path):
+    return path.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize(
+    "tear",
+    [
+        lambda text: text[:-20],  # the last record cut mid-line
+        lambda text: text + '{"digest": "12\n',  # a last line that is not JSON
+    ],
+    ids=["cut", "unparseable"],
+)
+def test_torn_last_line_resumes_like_a_fresh_run(tmp_path, tear):
+    path = tmp_path / "torn.ckpt"
+    q = ClassQuery(3, 3, 5)
+    enumerate_classes(q, checkpoint_path=str(path), _stop_after_units=5)
+    path.write_text(tear(path.read_text()))
+    torn = load_checkpoint(str(path))
+    assert torn.torn_tail > 0 and 4 <= len(torn.completed) <= 5
+    resumed = enumerate_classes(q, checkpoint_path=str(path), resume=True)
+    fresh_path = tmp_path / "fresh.ckpt"
+    fresh = enumerate_classes(q, checkpoint_path=str(fresh_path))
+    assert resumed.complete
+    assert [c.rep.entries for c in resumed.classes] == [c.rep.entries for c in fresh.classes]
+    assert resumed.nodes_explored == fresh.nodes_explored
+    after = load_checkpoint(str(path))
+    assert after.torn_tail == 0
+    assert after.completed == load_checkpoint(str(fresh_path)).completed
+
+
+def test_resume_only_appends(tmp_path):
+    path = tmp_path / "append.ckpt"
+    q = ClassQuery(3, 3, 5)
+    enumerate_classes(q, checkpoint_path=str(path), _stop_after_units=3)
+    before = path.read_bytes()
+    enumerate_classes(q, checkpoint_path=str(path), resume=True)
+    after = path.read_bytes()
+    assert len(after) > len(before) and after.startswith(before)
+    # a finished journal is its header plus one line per unit, in unit order,
+    # the same bytes an uninterrupted run writes
+    cp = load_checkpoint(str(path))
+    assert len(_journal_lines(path)) == 1 + cp.total_units == 1 + len(cp.completed)
+    fresh_path = tmp_path / "fresh.ckpt"
+    enumerate_classes(q, checkpoint_path=str(fresh_path))
+    assert fresh_path.read_bytes() == after
+
+
+def test_fresh_run_replaces_the_journal(tmp_path):
+    path = tmp_path / "replace.ckpt"
+    enumerate_classes(ClassQuery(3, 3, 5), checkpoint_path=str(path))
+    enumerate_classes(ClassQuery(2, 3, 3), checkpoint_path=str(path), _stop_after_units=2)
+    cp = load_checkpoint(str(path))
+    assert cp.query["n"] == 2 and sorted(cp.completed) == [0, 1]
+    assert len(_journal_lines(path)) == 3
+
+
+def _replace_last_nodes(lines):
+    lines[-1] = lines[-1].replace('"nodes": 0', '"nodes": 7')
+
+
+def _duplicate_last(lines):
+    lines.append(lines[-1])
+
+
+def _index_out_of_range(lines):
+    lines.append(_unit_record(4, {"found": {}, "nodes": 0}))
+
+
+def _bad_line_before_the_last(lines):
+    lines.insert(2, "not json\n")
+
+
+def _drop_header(lines):
+    del lines[0]
+
+
+def _bad_line_before_a_cut_one(lines):
+    lines[-1] = "not json\n" + lines[-1][:-20]
+
+
+def _header_without_newline(lines):
+    del lines[1:]
+    lines[0] = lines[0].rstrip("\n")
+
+
+def _header_extra_key(lines):
+    header = json.loads(lines[0])
+    header["digest"] = ""
+    lines[0] = json.dumps(header, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _replace_last_nodes,
+        _duplicate_last,
+        _index_out_of_range,
+        _bad_line_before_the_last,
+        _bad_line_before_a_cut_one,
+        _drop_header,
+        _header_without_newline,
+        _header_extra_key,
+    ],
+)
+def test_journal_corruption_is_not_a_torn_tail(tmp_path, corrupt):
+    path = tmp_path / "bad.ckpt"
+    enumerate_classes(ClassQuery(2, 3, 3), checkpoint_path=str(path))
+    lines = _journal_lines(path)
+    assert len(lines) == 5  # (2,3,3) has 4 units
+    corrupt(lines)
+    path.write_text("".join(lines))
+    with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+def test_resume_rejects_a_header_for_another_unit_count(tmp_path):
+    path = tmp_path / "count.ckpt"
+    enumerate_classes(ClassQuery(2, 3, 3), checkpoint_path=str(path))
+    lines = _journal_lines(path)
+    lines[0] = lines[0].replace('"total_units": 4', '"total_units": 5')
+    path.write_text("".join(lines))
+    with pytest.raises(CheckpointError, match="unit count"):
+        enumerate_classes(ClassQuery(2, 3, 3), checkpoint_path=str(path), resume=True)
+
+
+def test_checkpoint_rejects_version_1_files(tmp_path):
+    path = tmp_path / "v1.ckpt"
+    v1 = {
+        "completed": {},
+        "digest": hashlib.sha256(b"{}").hexdigest(),
+        "format_version": 1,
+        "query": {},
+        "total_units": 4,
+    }
+    path.write_text(json.dumps(v1, sort_keys=True))
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 1"):
         load_checkpoint(str(path))
 
 
