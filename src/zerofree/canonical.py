@@ -10,6 +10,17 @@ structural integer ordering
 canonical_form computes that member exactly with a level-by-level tie-set
 search; canonical_form_oracle recomputes it by brute force over the whole
 group and exists so the two routes can check each other.
+
+The order is encoded once, by entry_key: 0 -> 0, x > 0 -> x and x < 0 ->
+big - x, monotone whenever big > max |x|.  Putting zero first extends it to
+0 < 1 < 2 < ... < -1 < -2 < ..., the order in which the search engine lists
+candidate rows.  With big = key_big(max |x|), the least power of two above
+max |x|, a key takes one bit more than max |x| does, so each user takes the
+width from its entries: minimize_rows from its block, the engine from its
+entry bound.  structural_key, flatten_key and structural_cmp compare keys
+across matrices, so they keep the fixed big = 2**32, which covers every
+entry up to MAX_ENTRY = 2**31.  The oracles keep their own encodings so that
+they stay independent checks.
 """
 
 from __future__ import annotations
@@ -23,10 +34,8 @@ import numpy as np
 
 from .matrix import ClassStats, IntMatrix, adjugate_inverse, classify
 
-# Wide packing constants: valid for any entry magnitude up to 2**31.
+# big of the public keys: above every entry magnitude up to 2**31
 _BIG = 1 << 32
-_SHIFT = 33
-_BASE = 1 << _SHIFT
 
 _ORACLE_MAX_DIM = 5
 
@@ -35,13 +44,25 @@ class ZeroEntryError(ValueError):
     """Zero entry where the structural ordering demands a nonzero value."""
 
 
+def key_big(amax: int) -> int:
+    """The narrowest big for entries with |x| <= amax: keys fit in one bit more."""
+    return 1 << amax.bit_length()
+
+
+def entry_key(x, big: int = _BIG):
+    """The structural key: 0 -> 0, x > 0 -> x, x < 0 -> big - x.
+
+    Monotone in the zero-first order 0 < 1 < 2 < ... < -1 < -2 < ... while
+    |x| < big; works on an int, or elementwise on an integer numpy array.
+    """
+    return abs(x) + big * (x < 0)
+
+
 def structural_key(x: int) -> int:
     """Monotone integer key for the structural ordering on nonzero ints."""
-    if x > 0:
-        return x
     if x == 0:
         raise ZeroEntryError("structural ordering is undefined on zero")
-    return _BIG - x
+    return entry_key(x)
 
 
 def structural_cmp(a: int, b: int) -> int:
@@ -138,29 +159,28 @@ def apply(g: GroupElement, m: IntMatrix) -> IntMatrix:
     return IntMatrix(n, tuple(out))
 
 
-def minimize_rows(rows, ncols, big=_BIG, base=_BASE, target=None):
+def minimize_rows(rows, ncols, test=False):
     """Minimal flattening of a k x ncols block under the double action.
 
-    Returns the canonical flattening as a list of key-tuples, one per row.
-    The search walks target rows in order; at each level every state that
-    still attains the minimal prefix is kept, so the result is exact.  Column
-    permutations never appear explicitly: for a fixed choice of source rows
-    and row signs, the best column arrangement is the structural sort of the
-    sign-normalized columns, tracked here as packed per-column profiles.
+    Returns the minimal block as a list of entry rows.  The search walks the
+    rows in order; at each level every state that still attains the minimal
+    prefix is kept, so the result is exact.  Column permutations never appear
+    explicitly: for a fixed choice of source rows and row signs, the best
+    column arrangement is the structural sort of the sign-normalized columns,
+    tracked here as packed per-column profiles.  Keys are as narrow as the
+    block's largest entry allows.
 
-    With `target` (the block's own key rows) the call short-circuits to None
-    as soon as some arrangement beats the block itself, which turns this into
+    With test=True the call returns None as soon as some arrangement beats
+    the block itself, and the block when none does, which turns this into
     the canonicality test used by the enumeration engine.  Entries may be
     zero only in engine-internal use; zero keys sort first.
     """
     k = len(rows)
-    shift = base.bit_length() - 1
-    mask = base - 1
-    kpos = [tuple(x if x > 0 else (0 if x == 0 else big - x) for x in r) for r in rows]
-    # keys of the negated row: key(-x)
-    kneg = [
-        tuple((-x) if x < 0 else (0 if x == 0 else big + x) for x in r) for r in rows
-    ]
+    big = key_big(max(map(abs, itertools.chain.from_iterable(rows))))
+    shift = big.bit_length()
+    mask = (1 << shift) - 1
+    kpos = [tuple([entry_key(x, big) for x in r]) for r in rows]
+    kneg = [tuple([entry_key(-x, big) for x in r]) for r in rows]
     cols = range(ncols)
     # state: (used-row bitmask, packed column profiles, resolved column signs)
     states = [(0, (0,) * ncols, (0,) * ncols)]
@@ -168,7 +188,7 @@ def minimize_rows(rows, ncols, big=_BIG, base=_BASE, target=None):
     for depth in range(k):
         best = None
         best_states = {}
-        tgt = target[depth] if target is not None else None
+        tgt = kpos[depth] if test else None
         signs_choices = (1,) if depth == 0 else (1, -1)
         for used, profs, signs in states:
             for i in range(k):
@@ -213,21 +233,14 @@ def minimize_rows(rows, ncols, big=_BIG, base=_BASE, target=None):
                         continue
                     new_signs = signs if resolved is None else tuple(resolved)
                     best_states[(used | bit, tuple(new_profs), new_signs)] = None
-        if tgt is not None:
-            if not best_states:
-                raise AssertionError("canonical search lost the identity arrangement")
-            best = tgt
-        out.append(best)
+        if not test:
+            out.append(best)
+        elif not best_states:
+            raise AssertionError("canonical search lost the identity arrangement")
         states = list(best_states)
-    return out
-
-
-def _decode_keys(digit_rows, big: int) -> list[int]:
-    out = []
-    for row in digit_rows:
-        for key in row:
-            out.append(key if key < big else big - key)
-    return out
+    if test:
+        return rows
+    return [tuple([key if key < big else big - key for key in row]) for row in out]
 
 
 def canonical_form(m: IntMatrix) -> IntMatrix:
@@ -238,8 +251,7 @@ def canonical_form(m: IntMatrix) -> IntMatrix:
     """
     if m.has_zero():
         raise ZeroEntryError("canonical form requires a matrix without zero entries")
-    digit_rows = minimize_rows(m.rows(), m.n)
-    return IntMatrix(m.n, tuple(_decode_keys(digit_rows, _BIG)))
+    return IntMatrix(m.n, tuple(itertools.chain.from_iterable(minimize_rows(m.rows(), m.n))))
 
 
 @lru_cache(maxsize=16)

@@ -21,6 +21,10 @@ Value-only searches (the largest inverse entry) test canonicality on
 prefixes only: duplicates cannot change a maximum, so each final-depth batch
 is reduced to its largest beta and the leaves attaining it, and only the
 winning leaf is tested at the end.
+
+The structural order of candidate rows is the zero-first order of
+canonical.entry_key, at the width the entry bound alpha needs; see the
+canonical module docstring.
 """
 
 from __future__ import annotations
@@ -38,17 +42,14 @@ from math import factorial
 
 import numpy as np
 
-from .canonical import CanonicalClass, minimize_rows
+from .canonical import CanonicalClass, entry_key, key_big, minimize_rows
 from .matrix import ClassStats, IntMatrix, RegimeError
 
+# A candidate row packs its n keys into one int64: at most 8 bits a key for
+# alpha <= 64, so 7 keys (56 bits) fit and 8 would not.
 MAX_SEARCH_DIM = 7
 MAX_SEARCH_ALPHA = 64
 _MAX_SPACE = 5_000_000  # candidate rows per level; positions beyond this are hopeless anyway
-
-# Narrow packing constants for search matrices (|entry| <= 64).
-_BIG = 128
-_BASE = 256
-_KEY_SHIFT = 8
 
 CHECKPOINT_VERSION = 2
 
@@ -72,6 +73,20 @@ def default_thread_budget() -> int:
         return max(1, int(os.environ.get(_ENV_THREADS, "1")))
     except ValueError:
         return 1
+
+
+def _check_search_regime(
+    n: int, alpha: int, thread_budget: int | None, node_limit: int | None
+) -> None:
+    """Limits every search shares: dimension, entry bound, workers, node limit."""
+    if not 1 <= n <= MAX_SEARCH_DIM:
+        raise RegimeError(f"search supports 1 <= n <= {MAX_SEARCH_DIM}")
+    if not 1 <= alpha <= MAX_SEARCH_ALPHA:
+        raise RegimeError(f"alpha must be within 1..{MAX_SEARCH_ALPHA}")
+    if thread_budget is not None and thread_budget < 1:
+        raise ValueError("thread_budget must be positive")
+    if node_limit is not None and node_limit < 1:
+        raise ValueError("node_limit must be positive")
 
 
 def theoretical_beta_bound(n: int) -> int:
@@ -105,19 +120,12 @@ class ClassQuery:
     long_run: bool = False
 
     def __post_init__(self):
-        if not 1 <= self.n <= MAX_SEARCH_DIM:
-            raise RegimeError(f"enumeration supports 1 <= n <= {MAX_SEARCH_DIM}")
-        if not 1 <= self.alpha <= MAX_SEARCH_ALPHA:
-            raise RegimeError(f"alpha must be within 1..{MAX_SEARCH_ALPHA}")
+        _check_search_regime(self.n, self.alpha, self.thread_budget, self.node_limit)
         lo, hi = self.beta_range
         if lo > hi:
             raise ValueError("empty beta range")
         if self.n > 1 and (self.alpha < 2 or lo < 2):
             raise ValueError("alpha and beta below 2 are vacuous for n > 1")
-        if self.thread_budget is not None and self.thread_budget < 1:
-            raise ValueError("thread_budget must be positive")
-        if self.node_limit is not None and self.node_limit < 1:
-            raise ValueError("node_limit must be positive")
 
     @property
     def beta_range(self) -> tuple[int, int]:
@@ -273,13 +281,22 @@ def load_checkpoint(path: str) -> SearchCheckpoint:
 # candidate-row spaces and minor bookkeeping
 
 
-def _entry_keys(arr: np.ndarray) -> np.ndarray:
-    return np.where(arr > 0, arr, np.where(arr == 0, 0, _BIG - arr))
+def _pack(rows: np.ndarray, alpha: int):
+    """Entry keys of rows with |entries| <= alpha, at the width alpha needs,
+    and each row's keys read as one number (the row's structural rank)."""
+    big = key_big(alpha)
+    keys = entry_key(rows, big)
+    return keys, keys @ (2 * big) ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
 
 
 @lru_cache(maxsize=32)
 def _space(n: int, alpha: int, zeros_allowed: bool, positive_only: bool):
-    """All candidate rows for one search, sorted in structural order."""
+    """All candidate rows for one search, sorted in structural order.
+
+    rowmin[i] packs the sorted magnitudes of row i, the least image of that
+    row under column moves, so a canonical matrix's first row packs to at
+    most the rowmin of each of its rows.
+    """
     values = list(range(1, alpha + 1))
     if zeros_allowed:
         values = [0] + values
@@ -292,10 +309,8 @@ def _space(n: int, alpha: int, zeros_allowed: bool, positive_only: bool):
     if factorial(n) * alpha**n > 2**62:
         raise RegimeError("determinant bound would overflow 64-bit arithmetic")
     rows = np.array(list(itertools.product(values, repeat=n)), dtype=np.int64)
-    keys = _entry_keys(rows)
-    powers = _BASE ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    packed = keys @ powers
-    rowmin = np.sort(np.abs(rows), axis=1) @ powers
+    keys, packed = _pack(rows, alpha)
+    rowmin = _pack(np.sort(np.abs(rows), axis=1), alpha)[1]
     order = np.argsort(packed, kind="stable")
     rows, keys, packed, rowmin = rows[order], keys[order], packed[order], rowmin[order]
     row_tuples = [tuple(int(x) for x in r) for r in rows]
@@ -408,14 +423,10 @@ class _NodeBudget(Exception):
     pass
 
 
-def _key_row(row) -> tuple[int, ...]:
-    return tuple(x if x > 0 else (0 if x == 0 else _BIG - x) for x in row)
-
-
 def _is_canonical(entries, n: int) -> bool:
     """The engine's zero-tolerant canonicality test on a row-major matrix."""
     rows = [tuple(entries[i * n : (i + 1) * n]) for i in range(n)]
-    return minimize_rows(rows, n, _BIG, _BASE, target=[_key_row(r) for r in rows]) is not None
+    return minimize_rows(rows, n, True) is not None
 
 
 class _Generator:
@@ -450,20 +461,20 @@ class _Generator:
             raise _NodeBudget
         self.nodes += count
 
-    def _candidates(self, depth: int, minors: np.ndarray, base_mask, profs, prev_packed: int):
+    def _candidates(self, rows, minors: np.ndarray, base_mask, start: int):
         """Vectorized filters; returns (indices, minors per candidate).
 
         Rows of a canonical matrix are structurally nondecreasing (swapping
-        two adjacent rows is a group move), so the scan starts at the first
-        candidate whose packed key reaches the previous row's.
+        two adjacent rows is a group move), so the scan starts at the
+        previous row, index `start` of the sorted space.  Columns that agree
+        on every filled row must stay in structural order.
         """
         n = self.n
-        start = int(np.searchsorted(self.packed, prev_packed, side="left"))
-        if start == len(self.packed):
-            return np.empty(0, dtype=np.int64), None
+        depth = len(rows)
         mask = base_mask[start:].copy()
-        for c in range(n - 1):
-            if profs[c] == profs[c + 1]:
+        cols = list(zip(*rows))
+        for c in range(len(cols) - 1):
+            if cols[c] == cols[c + 1]:
                 mask &= self.keys_arr[start:, c] <= self.keys_arr[start:, c + 1]
         idx = np.flatnonzero(mask)
         if len(idx) == 0:
@@ -483,21 +494,18 @@ class _Generator:
                 keep &= absg.min(axis=1) > 0
         return idx[keep], grown[keep]
 
-    def _accept_batch(self, rows, krows, idx, dets):
+    def _accept_batch(self, rows, ladder, idx, dets):
         """Final-depth acceptance for a whole candidate batch.
 
         Every candidate shares the same first n-1 rows, so the inverse of
         each completion is assembled for all of them at once: bottom-block
-        minor ladders are matmuls against the batch, top-block ladders come
-        from the shared prefix.
+        minor ladders are matmuls against the batch, and the top-block
+        ladder is the shared prefix's, ladder[i] holding the i-column minors
+        of rows[0..i-1].
         """
         n = self.n
         m = len(idx)
         cand = self.rows_arr[idx]
-        # tops[i]: i-column minors of the shared rows[0..i-1]
-        tops = [np.ones(1, dtype=np.int64)]
-        for i in range(n - 1):
-            tops.append(_grow_minors(n, i, tops[i], np.array(rows[i], dtype=np.int64)))
         # bots[i]: (n-1-i)-column minors of rows[i+1..n-1] per candidate, built
         # upwards from the empty block below the last row
         bots = [np.ones((m, 1), dtype=np.int64)]
@@ -512,7 +520,7 @@ class _Generator:
         inv = np.empty((m, n * n), dtype=np.int64)
         for i, (bottom, j, top, sign) in enumerate(_cofactor_tables(n)):
             assemble = np.zeros((bots[i].shape[1], n), dtype=np.int64)
-            assemble[bottom, j] = sign * tops[i][top]
+            assemble[bottom, j] = sign * ladder[i][top]
             inv[:, i::n] = bots[i] @ assemble
         inv *= dets[:, None]
         absinv = np.abs(inv)
@@ -539,10 +547,7 @@ class _Generator:
             i = int(idx[pos])
             row = self.row_tuples[i]
             new_rows = rows + [row]
-            if (
-                minimize_rows(new_rows, n, _BIG, _BASE, target=krows + [_key_row(row)])
-                is None
-            ):
+            if minimize_rows(new_rows, n, True) is None:
                 continue
             entries = tuple(itertools.chain.from_iterable(new_rows))
             alpha = max(abs(x) for x in entries)
@@ -551,50 +556,38 @@ class _Generator:
                 (entries, positive, int(dets[pos]))
             )
 
-    def _descend(self, rows, krows, minors, profs, base_mask, prev_packed, depth: int, stop_depth: int, sink):
-        idx, grown = self._candidates(depth, minors, base_mask, profs, prev_packed)
+    def _descend(self, rows, ladder, base_mask, start: int, stop_depth: int, sink):
+        """Search below `rows`, whose minor ladder is `ladder`."""
+        idx, grown = self._candidates(rows, ladder[-1], base_mask, start)
         n = self.n
-        if depth + 1 == n:
+        if len(rows) + 1 == n:
             if len(idx):
                 self._spend(len(idx))
-                self._accept_batch(rows, krows, idx, grown[:, 0])
+                self._accept_batch(rows, ladder, idx, grown[:, 0])
             return
         for pos in range(len(idx)):
             i = int(idx[pos])
-            krow = _key_row(self.row_tuples[i])
             new_rows = rows + [self.row_tuples[i]]
-            new_krows = krows + [krow]
             self._spend()
-            if minimize_rows(new_rows, n, _BIG, _BASE, target=new_krows) is None:
+            if minimize_rows(new_rows, n, True) is None:
                 continue
-            new_profs = tuple(
-                (profs[c] << _KEY_SHIFT) | krow[c] for c in range(n)
-            )
-            if depth + 1 == stop_depth:
-                sink((new_rows, grown[pos]))
+            new_ladder = ladder + [grown[pos]]
+            if len(new_rows) == stop_depth:
+                sink((new_rows, new_ladder))
             else:
-                self._descend(
-                    new_rows,
-                    new_krows,
-                    grown[pos],
-                    new_profs,
-                    base_mask,
-                    int(self.packed[i]),
-                    depth + 1,
-                    stop_depth,
-                    sink,
-                )
+                self._descend(new_rows, new_ladder, base_mask, i, stop_depth, sink)
 
     def run_prefixes(self, stop_depth: int):
         """Stage 1: every accepted prefix of `stop_depth` rows, in order.
 
-        At n = 1 the first row is also the last, so the leaves are searched
-        here, through the same batch leaf step as every other n.
+        A prefix is its rows and their minor ladder.  At n = 1 the first row
+        is also the last, so the leaves are searched here, through the same
+        batch leaf step as every other n.
         """
         out = []
+        empty = [np.ones(1, dtype=np.int64)]  # ladder of no rows: one empty minor
         if self.n == 1:
-            first_mask = self.packed == self.rowmin
-            self._descend([], [], np.ones(1, dtype=np.int64), (0,), first_mask, 0, 0, 1, None)
+            self._descend([], empty, self.packed == self.rowmin, 0, 1, None)
             return out
         for i in self.first_rows:
             i = int(i)
@@ -606,35 +599,18 @@ class _Generator:
             if cap is not None and np.abs(minors).max() > cap:
                 continue
             self._spend()
-            krow = _key_row(row)
             if stop_depth == 1:
-                out.append(([row], minors))
+                out.append(([row], empty + [minors]))
             else:
-                packed = int(self.packed[i])
-                base_mask = self.rowmin >= packed
-                self._descend(
-                    [row], [krow], minors, krow, base_mask, packed, 1, stop_depth, out.append
-                )
+                base_mask = self.rowmin >= self.packed[i]
+                self._descend([row], empty + [minors], base_mask, i, stop_depth, out.append)
         return out
 
     def run_subtree(self, rows, minors):
-        """Finish the search below one stored prefix."""
-        n = self.n
-        krows = [_key_row(r) for r in rows]
-        profs = [0] * n
-        for kr in krows:
-            for c in range(n):
-                profs[c] = (profs[c] << _KEY_SHIFT) | kr[c]
-        packs = []
-        for kr in krows:
-            p = 0
-            for k in kr:
-                p = (p << _KEY_SHIFT) | k
-            packs.append(p)
-        base_mask = self.rowmin >= packs[0]
-        self._descend(
-            rows, krows, minors, tuple(profs), base_mask, packs[-1], len(rows), n + 1, None
-        )
+        """Finish the search below one stored prefix; `minors` is its ladder."""
+        packs = _pack(np.array(rows), self.p.alpha)[1]
+        start = int(np.searchsorted(self.packed, packs[-1]))
+        self._descend(rows, minors, self.rowmin >= packs[0], start, self.n + 1, None)
 
     def payload(self) -> dict:
         """This search's result as a JSON-ready work-unit record."""
@@ -803,7 +779,7 @@ def _select(buckets, alpha: int, beta_lo: int, beta_hi: int):
         if a == alpha and beta_lo <= b <= beta_hi:
             for entries, positive, det in items:
                 hits.append(((a, b), entries, positive, det))
-    hits.sort(key=lambda h: _key_row(h[1]))
+    hits.sort(key=lambda h: [entry_key(x) for x in h[1]])
     return hits
 
 
@@ -943,6 +919,7 @@ def max_beta_search(
     """
     if mode not in ("zerofree", "unrestricted"):
         raise ValueError("mode must be 'zerofree' or 'unrestricted'")
+    _check_search_regime(n, alpha, thread_budget, node_limit)
     if n > 5:
         if not best_effort:
             raise TierGateError(

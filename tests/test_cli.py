@@ -143,6 +143,29 @@ def test_maxbeta_truncated_without_result_is_incomplete(capsys, limit, threads):
     assert "no unimodular matrix" not in err
 
 
+# Each of these is outside the limits every search shares; enumerate and scan
+# already refused them, and maxbeta now refuses them the same way.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(["--n", "3", "--alpha", "65"], id="alpha65"),
+        pytest.param(["--n", "3", "--alpha", "2", "--threads", "0"], id="threads0"),
+        pytest.param(["--n", "3", "--alpha", "2", "--threads", "-3"], id="threads-3"),
+        pytest.param(["--n", "3", "--alpha", "2", "--node-limit", "0"], id="node-limit0"),
+        pytest.param(["--n", "0", "--alpha", "2"], id="n0"),
+        pytest.param(
+            ["--n", "8", "--alpha", "2", "--best-effort", "--node-limit", "100"], id="n8"
+        ),
+    ],
+)
+def test_maxbeta_rejects_inputs_outside_the_search_regime(capsys, argv):
+    code, out, err = run(capsys, "maxbeta", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "no unimodular matrix" not in err
+
+
 def test_n2_table(capsys):
     code, out, _ = run(capsys, "n2", "--kmax", "7")
     assert code == 0

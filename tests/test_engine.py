@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 
+import numpy as np
 import pytest
 
 from zerofree.canonical import canonical_form, flatten_key, inverse_class
@@ -13,6 +14,7 @@ from zerofree.engine import (
     IncompleteSearchError,
     TierGateError,
     _is_canonical,
+    _space,
     enumerate_classes,
     load_checkpoint,
     max_beta_search,
@@ -377,6 +379,28 @@ def test_infeasible_regimes_rejected():
         enumerate_classes(ClassQuery(7, 12, 12, long_run=True))
     with pytest.raises(ValueError):
         ClassQuery(3, 1, 2)
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+@pytest.mark.parametrize("alpha", [2, 3])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_space_rows_follow_the_zero_first_order(n, alpha, zeros):
+    # uncached: the n = 7 spaces are large
+    rows, _, packed = _space.__wrapped__(n, alpha, zeros, False)[:3]
+    order = ([0] if zeros else []) + list(range(1, alpha + 1)) + list(range(-1, -alpha - 1, -1))
+    rank_of = np.full(2 * alpha + 1, -1)
+    rank_of[np.array(order) + alpha] = np.arange(len(order))
+    rank = rank_of[rows + alpha]
+    assert rows.shape == (len(order) ** n, n)
+    assert (rank >= 0).all()
+    # consecutive rows increase strictly at their first differing entry
+    before, after = rank[:-1], rank[1:]
+    differs = before != after
+    assert differs.any(axis=1).all()
+    first = differs.argmax(axis=1)
+    pairs = np.arange(len(first))
+    assert (before[pairs, first] < after[pairs, first]).all()
+    assert (np.diff(packed) > 0).all()
 
 
 def test_determinism_across_thread_budgets():
