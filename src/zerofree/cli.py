@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or data error,
-3 search stopped by its node limit.
+Exit codes: 0 success, 1 verification failure, 2 usage, data or file
+error, 3 search stopped by its node limit.
 """
 
 from __future__ import annotations
@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (TierGateError, RegimeError, ValueError) as exc:
+    except (TierGateError, RegimeError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except IncompleteSearchError as exc:

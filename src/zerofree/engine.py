@@ -17,6 +17,11 @@ duplicate set.  Candidate rows are scanned in structural order, which makes
 the output stream sorted by flattening and bit-identical across thread
 budgets and checkpoint splits.
 
+At the final depth the cheapest rejecting test runs first: the
+determinant of every completion is computed straight off the sorted slice of
+candidate rows, then inverse column n-2 filters the unimodular completions,
+and only its survivors get the full inverse.
+
 Value-only searches (the largest inverse entry) test canonicality on
 prefixes only: duplicates cannot change a maximum, so each final-depth batch
 is reduced to its largest beta and the leaves attaining it, and only the
@@ -38,7 +43,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -308,14 +313,17 @@ def _space(n: int, alpha: int, zeros_allowed: bool, positive_only: bool):
         )
     if factorial(n) * alpha**n > 2**62:
         raise RegimeError("determinant bound would overflow 64-bit arithmetic")
-    rows = np.array(list(itertools.product(values, repeat=n)), dtype=np.int64)
+    # every row over `values`; the argsort on the unique packed keys below
+    # puts them in structural order
+    k = len(values)
+    rows = np.empty((k**n, n), dtype=np.int64)
+    for c in range(n):
+        rows[:, c] = np.tile(np.repeat(values, k ** (n - 1 - c)), k**c)
+    rows = rows[np.argsort(_pack(rows, alpha)[1], kind="stable")]
     keys, packed = _pack(rows, alpha)
     rowmin = _pack(np.sort(np.abs(rows), axis=1), alpha)[1]
-    order = np.argsort(packed, kind="stable")
-    rows, keys, packed, rowmin = rows[order], keys[order], packed[order], rowmin[order]
-    row_tuples = [tuple(int(x) for x in r) for r in rows]
     first_rows = np.flatnonzero(packed == rowmin)
-    return rows, keys, packed, rowmin, row_tuples, first_rows
+    return rows, keys, packed, rowmin, first_rows
 
 
 @lru_cache(maxsize=64)
@@ -402,6 +410,15 @@ def _cofactor_tables(n: int):
     return tables
 
 
+def _cofactor_matrix(n: int, i: int, top_minors: np.ndarray) -> np.ndarray:
+    """Maps the (n-1-i)-column minors of the rows below row i to the
+    cofactors of row i, given the i-column minors of the rows above it."""
+    bottom, j, top, sign = _cofactor_tables(n)[i]
+    out = np.zeros((comb(n, n - 1 - i), n), dtype=np.int64)
+    out[bottom, j] = sign * top_minors[top]
+    return out
+
+
 # --------------------------------------------------------------------------
 # the depth-first generator
 
@@ -447,7 +464,6 @@ class _Generator:
             self.keys_arr,
             self.packed,
             self.rowmin,
-            self.row_tuples,
             self.first_rows,
         ) = _space(*params.space_key())
         self.nodes = 0
@@ -468,6 +484,13 @@ class _Generator:
         two adjacent rows is a group move), so the scan starts at the
         previous row, index `start` of the sorted space.  Columns that agree
         on every filled row must stay in structural order.
+
+        At the final depth the one grown minor is the determinant.  It is
+        computed for the whole contiguous slice of the sorted space, which is
+        cheaper than gathering the rows that pass the mask first, and
+        |det| = 1 joins the mask.  Interior depths gather first: their gcd
+        and cap tests run on many columns and would be wasted on masked-out
+        rows.
         """
         n = self.n
         depth = len(rows)
@@ -476,36 +499,69 @@ class _Generator:
         for c in range(len(cols) - 1):
             if cols[c] == cols[c + 1]:
                 mask &= self.keys_arr[start:, c] <= self.keys_arr[start:, c + 1]
+        if depth + 1 == n:
+            dets = _grow_minors(n, depth, minors, self.rows_arr[start:])
+            mask &= np.abs(dets[:, 0]) == 1
+            idx = np.flatnonzero(mask)
+            return idx + start, dets[idx]
         idx = np.flatnonzero(mask)
         if len(idx) == 0:
             return idx, None
         idx += start
         grown = _grow_minors(n, depth, minors, self.rows_arr[idx])
         absg = np.abs(grown)
-        if depth + 1 == n:
-            keep = absg[:, 0] == 1
-        else:
-            keep = np.gcd.reduce(absg, axis=1) == 1
-            cap = _jacobi_cap(n, depth + 1, self.p.alpha, self.p.beta_cap)
-            if cap is not None:
-                keep &= absg.max(axis=1) <= cap
-            if depth + 1 == n - 1 and self.p.require_zerofree:
-                # these minors are the last inverse column, up to signs
-                keep &= absg.min(axis=1) > 0
+        keep = np.gcd.reduce(absg, axis=1) == 1
+        cap = _jacobi_cap(n, depth + 1, self.p.alpha, self.p.beta_cap)
+        if cap is not None:
+            keep &= absg.max(axis=1) <= cap
+        if depth + 1 == n - 1 and self.p.require_zerofree:
+            # these minors are the last inverse column, up to signs
+            keep &= absg.min(axis=1) > 0
         return idx[keep], grown[keep]
+
+    def _leaf_keep(self, absinv: np.ndarray) -> np.ndarray:
+        """Which rows of inverse magnitudes pass the zero and beta-cap tests."""
+        keep = np.ones(len(absinv), dtype=bool)
+        if self.p.require_zerofree:
+            keep &= absinv.min(axis=1) > 0
+        if self.p.beta_cap is not None:
+            keep &= absinv.max(axis=1) <= self.p.beta_cap
+        return keep
 
     def _accept_batch(self, rows, ladder, idx, dets):
         """Final-depth acceptance for a whole candidate batch.
 
-        Every candidate shares the same first n-1 rows, so the inverse of
-        each completion is assembled for all of them at once: bottom-block
-        minor ladders are matmuls against the batch, and the top-block
-        ladder is the shared prefix's, ladder[i] holding the i-column minors
-        of rows[0..i-1].
+        `idx` indexes the batch's rows in the space and `dets` holds their
+        determinants, all +-1.  The cheapest rejecting work runs first.
+        Inverse column n-1 is the prefix's own minors, which _candidates has
+        already checked.  Column n-2 is one product of the candidates with
+        an n x n matrix built from the prefix.  When the search filters
+        leaves (zerofree or a beta cap), that column is tested first and
+        the batch is compacted to its survivors; the full inverse is then
+        assembled for those only.
         """
         n = self.n
-        m = len(idx)
         cand = self.rows_arr[idx]
+        if n > 1 and (self.p.require_zerofree or self.p.beta_cap is not None):
+            keep = self._leaf_keep(np.abs(cand @ _cofactor_matrix(n, n - 2, ladder[n - 2])))
+            if not keep.any():
+                return
+            cand, dets = cand[keep], dets[keep]
+        self._accept_leaves(rows, ladder, cand, dets)
+
+    def _accept_leaves(self, rows, ladder, cand, dets):
+        """Assemble the inverse of every completion of `rows` by a row of
+        `cand`, filter the leaves and record the kept ones.
+
+        Every candidate shares the same first n-1 rows, so the inverses are
+        assembled for all of them at once: bottom-block minor ladders are
+        matmuls against the batch, and the top-block ladder is the shared
+        prefix's, ladder[i] holding the i-column minors of rows[0..i-1].
+        The determinants are +-1, so the inverse is kept up to their sign:
+        every test and every stored beta reads its magnitudes.
+        """
+        n = self.n
+        m = len(cand)
         # bots[i]: (n-1-i)-column minors of rows[i+1..n-1] per candidate, built
         # upwards from the empty block below the last row
         bots = [np.ones((m, 1), dtype=np.int64)]
@@ -518,18 +574,11 @@ class _Generator:
             bots.append(bots[-1] @ v)
         bots.reverse()
         inv = np.empty((m, n * n), dtype=np.int64)
-        for i, (bottom, j, top, sign) in enumerate(_cofactor_tables(n)):
-            assemble = np.zeros((bots[i].shape[1], n), dtype=np.int64)
-            assemble[bottom, j] = sign * ladder[i][top]
-            inv[:, i::n] = bots[i] @ assemble
-        inv *= dets[:, None]
+        for i in range(n):
+            inv[:, i::n] = bots[i] @ _cofactor_matrix(n, i, ladder[i])
         absinv = np.abs(inv)
-        keep = np.ones(m, dtype=bool)
-        if self.p.require_zerofree:
-            keep &= absinv.min(axis=1) > 0
+        keep = self._leaf_keep(absinv)
         betas = absinv.max(axis=1)
-        if self.p.beta_cap is not None:
-            keep &= betas <= self.p.beta_cap
         if self.value_only:
             prefix = [x for row in rows for x in row]
             attained = np.maximum(np.abs(cand).max(axis=1), max(map(abs, prefix), default=0))
@@ -544,9 +593,7 @@ class _Generator:
             self.tied.extend(prefix + leaf for leaf in cand[keep & (betas == beta)].tolist())
             return
         for pos in np.flatnonzero(keep):
-            i = int(idx[pos])
-            row = self.row_tuples[i]
-            new_rows = rows + [row]
+            new_rows = rows + [tuple(cand[pos].tolist())]
             if minimize_rows(new_rows, n, True) is None:
                 continue
             entries = tuple(itertools.chain.from_iterable(new_rows))
@@ -565,9 +612,8 @@ class _Generator:
                 self._spend(len(idx))
                 self._accept_batch(rows, ladder, idx, grown[:, 0])
             return
-        for pos in range(len(idx)):
-            i = int(idx[pos])
-            new_rows = rows + [self.row_tuples[i]]
+        for pos, row in enumerate(self.rows_arr[idx].tolist()):
+            new_rows = rows + [tuple(row)]
             self._spend()
             if minimize_rows(new_rows, n, True) is None:
                 continue
@@ -575,7 +621,7 @@ class _Generator:
             if len(new_rows) == stop_depth:
                 sink((new_rows, new_ladder))
             else:
-                self._descend(new_rows, new_ladder, base_mask, i, stop_depth, sink)
+                self._descend(new_rows, new_ladder, base_mask, int(idx[pos]), stop_depth, sink)
 
     def run_prefixes(self, stop_depth: int):
         """Stage 1: every accepted prefix of `stop_depth` rows, in order.
@@ -591,7 +637,6 @@ class _Generator:
             return out
         for i in self.first_rows:
             i = int(i)
-            row = self.row_tuples[i]
             minors = self.rows_arr[i]
             if np.gcd.reduce(np.abs(minors)) != 1:
                 continue
@@ -599,6 +644,7 @@ class _Generator:
             if cap is not None and np.abs(minors).max() > cap:
                 continue
             self._spend()
+            row = tuple(self.rows_arr[i].tolist())
             if stop_depth == 1:
                 out.append(([row], empty + [minors]))
             else:

@@ -101,6 +101,13 @@ def test_canon_file(capsys, tmp_path):
     assert out.strip() == "1 2 2 3"
 
 
+def test_canon_missing_input_file_is_a_usage_error(capsys, tmp_path):
+    code, out, err = run(capsys, "canon", "--input", str(tmp_path / "missing.txt"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "missing.txt" in err
+
+
 def test_canon_rejects_zero_entry(capsys, monkeypatch):
     import io
 
@@ -221,3 +228,13 @@ def test_checkpoint_flow(capsys, tmp_path):
     )
     assert code == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
+def test_checkpoint_in_missing_directory_is_a_usage_error(capsys, tmp_path, resume):
+    path = str(tmp_path / "missing" / "x.json")
+    argv = ["enumerate", "--n", "3", "--alpha", "3", "--beta", "5", "--checkpoint", path]
+    code, out, err = run(capsys, *argv, *(["--resume"] if resume else []))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "missing" in err

@@ -7,13 +7,15 @@ import json
 import numpy as np
 import pytest
 
-from zerofree.canonical import canonical_form, flatten_key, inverse_class
+from zerofree.canonical import canonical_form, entry_key, flatten_key, inverse_class
 from zerofree.engine import (
     CheckpointError,
     ClassQuery,
     IncompleteSearchError,
     TierGateError,
+    _Generator,
     _is_canonical,
+    _SearchParams,
     _space,
     enumerate_classes,
     load_checkpoint,
@@ -401,6 +403,107 @@ def test_space_rows_follow_the_zero_first_order(n, alpha, zeros):
     pairs = np.arange(len(first))
     assert (before[pairs, first] < after[pairs, first]).all()
     assert (np.diff(packed) > 0).all()
+
+
+# -- the final depth against leaves computed one at a time --------------------
+
+
+def _keys(row):
+    return [entry_key(x) for x in row]
+
+
+def _final_depth_reference(p: _SearchParams, value_only: bool, space, rows):
+    """Below one (n-1)-row prefix: the batch of unimodular completions with
+    their determinants, the survivors of the inverse column n-2 test, and
+    what the search keeps.  Each completion goes through matrix.det and
+    adjugate_inverse on its own."""
+    n = p.n
+    equal_cols = [c for c in range(n - 1) if all(r[c] == r[c + 1] for r in rows)]
+
+    def fails(magnitudes):
+        return (p.require_zerofree and min(magnitudes) == 0) or (
+            p.beta_cap is not None and max(magnitudes) > p.beta_cap
+        )
+
+    batch, survivors, leaves = [], [], []
+    for row in space:
+        if (
+            _keys(row) < _keys(rows[-1])  # rows of a canonical matrix never decrease
+            or sorted(map(abs, row)) < _keys(rows[0])  # no row can move before the first
+            or any(entry_key(row[c]) > entry_key(row[c + 1]) for c in equal_cols)
+        ):
+            continue
+        m = IntMatrix.from_rows(rows + [row])
+        d = det(m)
+        if abs(d) != 1:
+            continue
+        batch.append((row, d))
+        absinv = [abs(x) for x in adjugate_inverse(m).entries]
+        if fails(absinv[n - 2 :: n]):  # inverse column n-2
+            continue
+        survivors.append((row, d))
+        if fails(absinv):
+            continue
+        leaves.append((m, d, max(absinv)))
+    if value_only:
+        attaining = [(m, beta) for m, _, beta in leaves if max(map(abs, m.entries)) == p.alpha]
+        best = max((beta for _, beta in attaining), default=0)
+        return batch, survivors, (best, [list(m.entries) for m, beta in attaining if beta == best])
+    found = {}
+    for m, d, beta in leaves:
+        if canonical_form(m) == m:
+            key = (max(map(abs, m.entries)), beta)
+            found.setdefault(key, []).append((m.entries, min(m.entries) > 0, d))
+    return batch, survivors, found
+
+
+def _final_depth_engine(p: _SearchParams, value_only: bool, prefix):
+    """The same three things from the engine, recorded at its final-depth calls."""
+    gen = _Generator(p, value_only)
+    batch, survivors = [], []
+    accept_batch, accept_leaves = gen._accept_batch, gen._accept_leaves
+
+    def record_batch(rows, ladder, idx, dets):
+        batch.extend(zip(map(tuple, gen.rows_arr[idx].tolist()), dets.tolist()))
+        accept_batch(rows, ladder, idx, dets)
+
+    def record_leaves(rows, ladder, cand, dets):
+        survivors.extend(zip(map(tuple, cand.tolist()), dets.tolist()))
+        accept_leaves(rows, ladder, cand, dets)
+
+    gen._accept_batch, gen._accept_leaves = record_batch, record_leaves
+    gen.run_subtree(*prefix)
+    kept = (gen.best_beta, gen.tied) if value_only else gen.found
+    return batch, survivors, kept
+
+
+@pytest.mark.parametrize(
+    "n, alpha, beta_cap, zeros, value_only",
+    [
+        (3, 3, 8, False, False),
+        (3, 4, 3, False, False),  # a cap below alpha
+        (4, 3, 3, False, False),
+        (3, 2, None, False, True),
+        (3, 2, None, True, True),
+        (4, 2, None, False, True),
+        (4, 2, None, True, True),
+    ],
+)
+def test_final_depth_matches_leaves_computed_one_by_one(n, alpha, beta_cap, zeros, value_only):
+    p = _SearchParams(n, alpha, beta_cap, zeros, False, require_zerofree=not zeros)
+    prefixes = _Generator(p, value_only).run_prefixes(n - 1)
+    assert prefixes
+    values = ([0] if zeros else []) + [v for a in range(1, alpha + 1) for v in (a, -a)]
+    space = sorted(itertools.product(values, repeat=n), key=_keys)
+    filtered = kept = 0
+    for prefix in prefixes[:: max(1, len(prefixes) // 40)]:
+        expected = _final_depth_reference(p, value_only, space, prefix[0])
+        assert _final_depth_engine(p, value_only, prefix) == expected
+        filtered += len(expected[0]) - len(expected[1])
+        kept += bool(expected[2][0] if value_only else expected[2])
+    # the column n-2 test has something to reject exactly when leaves are filtered
+    assert (filtered > 0) == (not zeros)
+    assert kept
 
 
 def test_determinism_across_thread_budgets():
