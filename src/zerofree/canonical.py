@@ -21,6 +21,15 @@ entry bound.  structural_key, flatten_key and structural_cmp compare keys
 across matrices, so they keep the fixed big = 2**32, which covers every
 entry up to MAX_ENTRY = 2**31.  The oracles keep their own encodings so that
 they stay independent checks.
+
+The engine tests the children of one canonical prefix together (canonical
+augmentation, after McKay 1998).  prefix_ties runs the prefix's own
+test-mode search once and lists its tie states per level; these are exactly
+the states of a child's search that use only prefix rows.  children_verdicts
+then places each new row after every tie state at every level and fails the
+child when an image beats its target.  An image equal to a prefix row keeps
+a state that uses the new row, which only minimize_rows can follow, so such
+a child's verdict is left open.
 """
 
 from __future__ import annotations
@@ -38,6 +47,9 @@ from .matrix import ClassStats, IntMatrix, adjugate_inverse, classify
 _BIG = 1 << 32
 
 _ORACLE_MAX_DIM = 5
+
+# image entries children_verdicts builds at once
+_CHUNK = 1 << 20
 
 
 class ZeroEntryError(ValueError):
@@ -175,8 +187,14 @@ def minimize_rows(rows, ncols, test=False):
     the canonicality test used by the enumeration engine.  Entries may be
     zero only in engine-internal use; zero keys sort first.
     """
-    k = len(rows)
     big = key_big(max(map(abs, itertools.chain.from_iterable(rows))))
+    return _level_search(rows, ncols, test, big)
+
+
+def _level_search(rows, ncols, test, big, levels=None):
+    """minimize_rows at key width `big`; `levels`, when given, receives
+    the state list in force before each level and the final one."""
+    k = len(rows)
     shift = big.bit_length()
     mask = (1 << shift) - 1
     kpos = [tuple([entry_key(x, big) for x in r]) for r in rows]
@@ -186,6 +204,8 @@ def minimize_rows(rows, ncols, test=False):
     states = [(0, (0,) * ncols, (0,) * ncols)]
     out = []
     for depth in range(k):
+        if levels is not None:
+            levels.append(states)
         best = None
         best_states = {}
         tgt = kpos[depth] if test else None
@@ -238,9 +258,90 @@ def minimize_rows(rows, ncols, test=False):
         elif not best_states:
             raise AssertionError("canonical search lost the identity arrangement")
         states = list(best_states)
+    if levels is not None:
+        levels.append(states)
     if test:
         return rows
     return [tuple([key if key < big else big - key for key in row]) for row in out]
+
+
+def pack_keys(keys: np.ndarray, big: int) -> np.ndarray:
+    """Each row of entry keys at width `big` (last axis) read as one number,
+    most significant column first: the row's structural rank."""
+    return keys @ (2 * big) ** np.arange(keys.shape[-1] - 1, -1, -1, dtype=np.int64)
+
+
+def prefix_ties(rows, ncols, big):
+    """The tie states of the canonical block `rows`, as children_verdicts
+    reads them.
+
+    A child rows + [r] fails the test-mode search exactly when some
+    placement of r gives an image below its target.  One placement puts r
+    at a level d <= k = len(rows), after a state that survives levels
+    0..d-1 of the block's own search, with row sign +-1 (+1 alone at d = 0).
+    A column's key then follows its resolved sign u times the row sign:
+    key(x) for +1, key(-x) for -1, |x| for 0.  The columns are ordered by
+    the state's profiles, and each group of equal profiles is sorted.
+
+    Returns one row per distinct placement: `src` indexes each image
+    position into the per-column keys [key(-x) | |x| | key(x)], `lift`
+    puts each group above the one before it, so one sort of the lifted row
+    sorts inside every group, `target` is the packed row d, and `last`
+    marks d = k, whose target is r itself.  `big` must exceed every entry
+    magnitude of the children too.
+    """
+    levels = []
+    if _level_search(rows, ncols, True, big, levels) is None:
+        raise ValueError("prefix is not canonical")
+    k = len(rows)
+    radix = 2 * big
+    block = np.array(rows, dtype=np.int64).reshape(k, ncols)
+    # the packed rows; d = k compares with r instead
+    own = pack_keys(entry_key(block, big), big).tolist() + [0]
+    placements = {}
+    for d, states in enumerate(levels):
+        for _, profs, signs in states:
+            order = sorted(range(ncols), key=profs.__getitem__)
+            lift = [0] * ncols
+            for j in range(1, ncols):
+                lift[j] = lift[j - 1] + radix * (profs[order[j]] != profs[order[j - 1]])
+            for s in (1,) if d == 0 else (1, -1):
+                src = tuple([(signs[c] * s + 1) * ncols + c for c in order])
+                placements[(src, tuple(lift), own[d], d == k)] = None
+    src, lift, target, last = zip(*placements)
+    return np.array(src), np.array(lift), np.array(target), np.array(last)
+
+
+def children_verdicts(ties, cand: np.ndarray, big: int):
+    """Prefix-canonicality of rows + [r] for every row r of `cand` at once.
+
+    `ties` is prefix_ties(rows, ...).  In the child's search the states
+    that use only rows of the block at level d are exactly the block's own
+    states after level d, so the child fails if and only if one of the
+    placements beats its target.  An image equal to row d for d < k keeps
+    a state that uses r, which only the scalar search can follow.
+
+    Returns boolean arrays (beaten, open): beaten children fail; open ones
+    are not beaten here but tie below level k, and need minimize_rows.
+    Every other child passes.
+    """
+    src, lift, target, last = ties
+    m, ncols = cand.shape
+    beaten = np.zeros(m, dtype=bool)
+    tied = np.zeros(m, dtype=bool)
+    # chunks of candidates keep the (chunk, placements, ncols) images small
+    step = max(1, _CHUNK // lift.size)
+    for lo in range(0, m, step):
+        part = cand[lo : lo + step]
+        table = np.concatenate([entry_key(-part, big), np.abs(part), entry_key(part, big)], axis=1)
+        images = table[:, src] + lift
+        images.sort(axis=2)
+        images -= lift
+        packed = pack_keys(images, big)
+        own = pack_keys(table[:, 2 * ncols :], big)
+        beaten[lo : lo + step] = (packed < np.where(last, own[:, None], target)).any(axis=1)
+        tied[lo : lo + step] = (packed[:, ~last] == target[~last]).any(axis=1)
+    return beaten, tied & ~beaten
 
 
 def canonical_form(m: IntMatrix) -> IntMatrix:

@@ -263,6 +263,13 @@ def _verify_oracle(seed: int, samples: int) -> bool:
 
 
 def _cmd_verify(args) -> int:
+    # a suite with nothing to check must not report success
+    if args.suite == "prop5" and args.kmax < 2:
+        print("error: --kmax must be at least 2", file=sys.stderr)
+        return EXIT_USAGE
+    if args.suite == "oracle" and args.samples < 1:
+        print("error: --samples must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
     if args.suite == "prop0":
         ok = _verify_prop0()
     elif args.suite == "prop5":

@@ -11,6 +11,11 @@ matrix survives only while
     respects the complementary-minor bound |minor| <= (n-k)! * cap^(n-k)
     that a bounded inverse forces on a unimodular matrix.
 
+The children of one prefix are tested for canonicality together: the
+prefix's tie states are computed once, one vectorized verdict covers every
+candidate next row, and only the children whose image ties with a prefix row
+take the scalar test (canonical.children_verdicts).
+
 A finished matrix is accepted only if it equals its own canonical form, so
 every class is emitted exactly once, as its representative, with no global
 duplicate set.  Candidate rows are scanned in structural order, which makes
@@ -47,7 +52,15 @@ from math import comb, factorial
 
 import numpy as np
 
-from .canonical import CanonicalClass, entry_key, key_big, minimize_rows
+from .canonical import (
+    CanonicalClass,
+    children_verdicts,
+    entry_key,
+    key_big,
+    minimize_rows,
+    pack_keys,
+    prefix_ties,
+)
 from .matrix import ClassStats, IntMatrix, RegimeError
 
 # A candidate row packs its n keys into one int64: at most 8 bits a key for
@@ -288,10 +301,14 @@ def load_checkpoint(path: str) -> SearchCheckpoint:
 
 def _pack(rows: np.ndarray, alpha: int):
     """Entry keys of rows with |entries| <= alpha, at the width alpha needs,
-    and each row's keys read as one number (the row's structural rank)."""
+    and each row's keys read as one number (the row's structural rank).
+    The keys are built one column at a time, so the only temporaries are
+    columns."""
     big = key_big(alpha)
-    keys = entry_key(rows, big)
-    return keys, keys @ (2 * big) ** np.arange(rows.shape[1] - 1, -1, -1, dtype=np.int64)
+    keys = np.empty_like(rows)
+    for c in range(rows.shape[1]):
+        keys[:, c] = entry_key(rows[:, c], big)
+    return keys, pack_keys(keys, big)
 
 
 @lru_cache(maxsize=32)
@@ -313,15 +330,18 @@ def _space(n: int, alpha: int, zeros_allowed: bool, positive_only: bool):
         )
     if factorial(n) * alpha**n > 2**62:
         raise RegimeError("determinant bound would overflow 64-bit arithmetic")
-    # every row over `values`; the argsort on the unique packed keys below
-    # puts them in structural order
+    # every row over `values`, column 0 varying slowest: `values` is listed
+    # in ascending key order, so the rows come out in structural order
     k = len(values)
     rows = np.empty((k**n, n), dtype=np.int64)
     for c in range(n):
         rows[:, c] = np.tile(np.repeat(values, k ** (n - 1 - c)), k**c)
-    rows = rows[np.argsort(_pack(rows, alpha)[1], kind="stable")]
+    # a magnitude is its own key; one sorted copy is the only n-wide temporary
+    mags = np.abs(rows)
+    mags.sort(axis=1)
+    rowmin = pack_keys(mags, key_big(alpha))
+    del mags
     keys, packed = _pack(rows, alpha)
-    rowmin = _pack(np.sort(np.abs(rows), axis=1), alpha)[1]
     first_rows = np.flatnonzero(packed == rowmin)
     return rows, keys, packed, rowmin, first_rows
 
@@ -466,11 +486,27 @@ class _Generator:
             self.rowmin,
             self.first_rows,
         ) = _space(*params.space_key())
+        self.big = key_big(params.alpha)
         self.nodes = 0
         self.budget: int | None = None
         self.found: dict[tuple[int, int], list] = {}
         self.best_beta = 0
         self.tied: list[list[int]] = []
+
+    def _canonical_children(self, rows, cand: np.ndarray) -> np.ndarray:
+        """Which children rows + [r], r a row of `cand`, are prefix-canonical.
+
+        One batch verdict over the whole batch, from the tie states of
+        `rows` computed once; a child whose verdict is open takes the scalar
+        test.
+        """
+        if not len(cand):
+            return np.zeros(0, dtype=bool)
+        beaten, open_ = children_verdicts(prefix_ties(rows, self.n, self.big), cand, self.big)
+        ok = ~(beaten | open_)
+        for pos in np.flatnonzero(open_):
+            ok[pos] = minimize_rows(rows + [tuple(cand[pos].tolist())], self.n, True) is not None
+        return ok
 
     def _spend(self, count: int = 1):
         if self.budget is not None and self.nodes + count > self.budget:
@@ -592,10 +628,9 @@ class _Generator:
                 self.best_beta, self.tied = beta, []
             self.tied.extend(prefix + leaf for leaf in cand[keep & (betas == beta)].tolist())
             return
-        for pos in np.flatnonzero(keep):
+        kept = np.flatnonzero(keep)
+        for pos in kept[self._canonical_children(rows, cand[kept])]:
             new_rows = rows + [tuple(cand[pos].tolist())]
-            if minimize_rows(new_rows, n, True) is None:
-                continue
             entries = tuple(itertools.chain.from_iterable(new_rows))
             alpha = max(abs(x) for x in entries)
             positive = all(x > 0 for x in entries)
@@ -612,10 +647,12 @@ class _Generator:
                 self._spend(len(idx))
                 self._accept_batch(rows, ladder, idx, grown[:, 0])
             return
-        for pos, row in enumerate(self.rows_arr[idx].tolist()):
+        cand = self.rows_arr[idx]
+        canonical = self._canonical_children(rows, cand)
+        for pos, row in enumerate(cand.tolist()):
             new_rows = rows + [tuple(row)]
             self._spend()
-            if minimize_rows(new_rows, n, True) is None:
+            if not canonical[pos]:
                 continue
             new_ladder = ladder + [grown[pos]]
             if len(new_rows) == stop_depth:

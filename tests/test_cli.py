@@ -202,6 +202,22 @@ def test_verify_oracle_small(capsys):
     assert all("0 mismatches: OK" in line for line in out.strip().splitlines())
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--suite", "prop5", "--kmax", "1"),
+        ("--suite", "prop5", "--kmax", "-3"),
+        ("--suite", "oracle", "--samples", "0"),
+        ("--suite", "oracle", "--samples", "-5"),
+    ],
+)
+def test_verify_suite_with_nothing_to_check_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--n", "2"])  # missing required arguments

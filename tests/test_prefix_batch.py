@@ -1,0 +1,117 @@
+"""The batched prefix-canonicality test against the scalar one: every child
+of a canonical prefix gets the verdict of minimize_rows, directly or through
+the scalar fallback for children that tie below the last level."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from zerofree import engine
+from zerofree.canonical import children_verdicts, key_big, minimize_rows, prefix_ties
+from zerofree.engine import _Generator, _SearchParams
+
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+
+def _values(alpha, zeros):
+    return ([0] if zeros else []) + list(range(1, alpha + 1)) + list(range(-1, -alpha - 1, -1))
+
+
+def _generator(n, alpha, zeros):
+    return _Generator(_SearchParams(n, alpha, None, zeros, False, False))
+
+
+def _check(n, alpha, zeros, rows, cand):
+    """Compare both verdicts with minimize_rows; return the open children
+    and which of them are canonical."""
+    assert minimize_rows(rows, n, True) == rows
+    big = key_big(alpha)
+    beaten, open_ = children_verdicts(prefix_ties(rows, n, big), cand, big)
+    truth = np.array([minimize_rows(rows + [tuple(r)], n, True) is not None for r in cand.tolist()])
+    assert not (beaten & open_).any()
+    assert not truth[beaten].any()
+    assert truth[~beaten & ~open_].all()
+    assert (_generator(n, alpha, zeros)._canonical_children(rows, cand) == truth).all()
+    return open_, truth[open_]
+
+
+@st.composite
+def prefixes_with_children(draw):
+    n = draw(st.integers(2, 6))
+    alpha = draw(st.sampled_from([2, 3]))
+    zeros = draw(st.booleans())
+    entry = st.sampled_from(_values(alpha, zeros))
+    row = st.lists(entry, min_size=n, max_size=n).map(tuple)
+    k = draw(st.integers(1, n - 1))
+    rows = minimize_rows(draw(st.lists(row, min_size=k, max_size=k)), n)
+    if n <= 3:
+        cand = list(itertools.product(_values(alpha, zeros), repeat=n))
+    else:
+        cand = draw(st.lists(row, min_size=1, max_size=40))
+    # signed column moves of the prefix rows tie with them at some level
+    moves = st.tuples(
+        st.integers(0, k - 1),
+        st.permutations(range(n)),
+        st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n),
+    )
+    for i, perm, signs in draw(st.lists(moves, max_size=30)):
+        cand.append(tuple(s * rows[i][c] for c, s in zip(perm, signs)))
+    return n, alpha, zeros, rows, np.array(cand, dtype=np.int64)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(case=prefixes_with_children())
+@hypothesis.example(case=(3, 2, False, [(1, 1, 2), (1, 2, -1)], np.array([[1, -2, 1]])))
+@hypothesis.example(case=(3, 2, True, [(0, 1, 2)], np.array([[2, 0, 1], [2, 1, 0]])))
+def test_batched_verdict_matches_the_scalar_test(case):
+    _check(*case)
+
+
+# Symmetric prefixes tie with many of their children: all-ones rows,
+# circulant and block patterns of 1 and 2.
+SYMMETRIC = [
+    (3, 2, False, [(1, 1, 1)]),
+    (3, 2, False, [(1, 1, 1), (1, 1, 1)]),
+    (3, 2, False, [(1, 1, 2), (1, 2, 1)]),
+    (3, 2, True, [(0, 1, 2)]),
+    (4, 2, False, [(1, 1, 1, 2), (1, 1, 2, 1), (1, 2, 1, 1)]),
+    (4, 2, False, [(1, 1, 2, 2), (1, 1, 2, 2)]),
+    (4, 3, True, [(0, 1, 1, 1), (1, 0, 1, 1)]),
+    (5, 2, False, [(1, 1, 1, 1, 1), (1, 1, 1, 1, 1), (1, 1, 1, 1, 1)]),
+    (5, 2, False, [(1, 1, 1, 2, 2), (1, 1, 2, 1, 2), (1, 2, 1, 1, 2)]),
+    (6, 2, False, [(1, 1, 1, 2, 2, 2), (1, 1, 1, 2, 2, 2)]),
+]
+
+
+def test_symmetric_prefixes_take_the_scalar_fallback(monkeypatch):
+    calls = []
+
+    def counted(rows, ncols, test=False):
+        calls.append(len(rows))
+        return minimize_rows(rows, ncols, test)
+
+    monkeypatch.setattr(engine, "minimize_rows", counted)
+    opened, open_canonical = 0, 0
+    for n, alpha, zeros, block in SYMMETRIC:
+        rows = minimize_rows(block, n)
+        values = _values(alpha, zeros)
+        if n <= 4:
+            cand = np.array(list(itertools.product(values, repeat=n)), dtype=np.int64)
+        else:
+            # every signed column move of every prefix row, and a spread of others
+            moves = {
+                tuple(s * r[c] for c, s in zip(perm, signs))
+                for r in rows
+                for perm in itertools.permutations(range(n))
+                for signs in itertools.product((1, -1), repeat=n)
+            }
+            space = _generator(n, alpha, zeros).rows_arr
+            cand = np.array(sorted(moves) + space[:: len(space) // 200].tolist())
+        open_, canonical = _check(n, alpha, zeros, rows, cand)
+        opened += int(open_.sum())
+        open_canonical += int(canonical.sum())
+    assert opened > 0 and len(calls) == opened
+    # open children go both ways, so neither verdict is a safe default
+    assert 0 < open_canonical < opened
