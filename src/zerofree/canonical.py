@@ -476,9 +476,6 @@ class CanonicalClass:
             raise ValueError("matrix is not unimodular zerofree")
         return cls(rep, stats)
 
-    def sort_key(self) -> tuple[int, ...]:
-        return flatten_key(self.rep)
-
 
 def inverse_class(c: CanonicalClass) -> CanonicalClass:
     """Canonical class of the inverse; swaps alpha with beta, involution."""

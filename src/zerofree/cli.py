@@ -10,7 +10,7 @@ import argparse
 import random
 import sys
 
-from . import closedform, engine
+from . import closedform
 from .canonical import (
     ZeroEntryError,
     canonical_form,
@@ -21,11 +21,9 @@ from .engine import (
     ClassQuery,
     IncompleteSearchError,
     TierGateError,
-    default_thread_budget,
     enumerate_classes,
     max_beta_search,
     sequence_scan,
-    theoretical_beta_bound,
     verify_conjecture,
 )
 from .matrix import RegimeError, verify_prop0

@@ -35,6 +35,12 @@ winning leaf is tested at the end.
 The structural order of candidate rows is the zero-first order of
 canonical.entry_key, at the width the entry bound alpha needs; see the
 canonical module docstring.
+
+Every search is the same descent from the empty prefix, run in two stages.
+Stage 1 descends to the accepted prefixes of min(2, n-1) rows, which are
+the work units; stage 2 finishes the descent below each unit.  The first
+row is chosen by the same filters as every later row, so at n = 1 the
+empty prefix is the one work unit.
 """
 
 from __future__ import annotations
@@ -179,9 +185,10 @@ class EnumerationResult:
 class SearchCheckpoint:
     """Resumable frontier of a search: which work units are already done.
 
-    A work unit is one accepted two-row prefix (one-row for n = 2); its
-    subtree result is stored verbatim, so resuming replays nothing and the
-    merged outcome is bit-identical to an uninterrupted run.
+    A work unit is one accepted two-row prefix (one-row for n = 2, the
+    empty prefix for n = 1); its subtree result is stored verbatim, so
+    resuming replays nothing and the merged outcome is bit-identical to an
+    uninterrupted run.
 
     The text form is an append-only JSON-lines journal.  The first line is
     a header with format_version, query and total_units; each further line
@@ -299,25 +306,15 @@ def load_checkpoint(path: str) -> SearchCheckpoint:
 # candidate-row spaces and minor bookkeeping
 
 
-def _pack(rows: np.ndarray, alpha: int):
-    """Entry keys of rows with |entries| <= alpha, at the width alpha needs,
-    and each row's keys read as one number (the row's structural rank).
-    The keys are built one column at a time, so the only temporaries are
-    columns."""
-    big = key_big(alpha)
-    keys = np.empty_like(rows)
-    for c in range(rows.shape[1]):
-        keys[:, c] = entry_key(rows[:, c], big)
-    return keys, pack_keys(keys, big)
-
-
 @lru_cache(maxsize=32)
 def _space(n: int, alpha: int, zeros_allowed: bool, positive_only: bool):
     """All candidate rows for one search, sorted in structural order.
 
-    rowmin[i] packs the sorted magnitudes of row i, the least image of that
-    row under column moves, so a canonical matrix's first row packs to at
-    most the rowmin of each of its rows.
+    Returns (rows, keys, packed, rowmin): the rows, their entry keys at the
+    width alpha needs, each row's keys read as one number (its structural
+    rank), and rowmin[i], which packs the sorted magnitudes of row i, the
+    least image of that row under column moves.  A canonical matrix's first
+    row packs to at most the rowmin of each of its rows.
     """
     values = list(range(1, alpha + 1))
     if zeros_allowed:
@@ -337,13 +334,16 @@ def _space(n: int, alpha: int, zeros_allowed: bool, positive_only: bool):
     for c in range(n):
         rows[:, c] = np.tile(np.repeat(values, k ** (n - 1 - c)), k**c)
     # a magnitude is its own key; one sorted copy is the only n-wide temporary
+    big = key_big(alpha)
     mags = np.abs(rows)
     mags.sort(axis=1)
-    rowmin = pack_keys(mags, key_big(alpha))
+    rowmin = pack_keys(mags, big)
     del mags
-    keys, packed = _pack(rows, alpha)
-    first_rows = np.flatnonzero(packed == rowmin)
-    return rows, keys, packed, rowmin, first_rows
+    # the keys are built one column at a time, so the only temporaries are columns
+    keys = np.empty_like(rows)
+    for c in range(n):
+        keys[:, c] = entry_key(rows[:, c], big)
+    return rows, keys, pack_keys(keys, big), rowmin
 
 
 @lru_cache(maxsize=64)
@@ -479,13 +479,7 @@ class _Generator:
         self.p = params
         self.value_only = value_only
         self.n = params.n
-        (
-            self.rows_arr,
-            self.keys_arr,
-            self.packed,
-            self.rowmin,
-            self.first_rows,
-        ) = _space(*params.space_key())
+        self.rows_arr, self.keys_arr, self.packed, self.rowmin = _space(*params.space_key())
         self.big = key_big(params.alpha)
         self.nodes = 0
         self.budget: int | None = None
@@ -615,9 +609,9 @@ class _Generator:
         absinv = np.abs(inv)
         keep = self._leaf_keep(absinv)
         betas = absinv.max(axis=1)
+        prefix = [x for row in rows for x in row]
+        attained = np.maximum(np.abs(cand).max(axis=1), max(map(abs, prefix), default=0))
         if self.value_only:
-            prefix = [x for row in rows for x in row]
-            attained = np.maximum(np.abs(cand).max(axis=1), max(map(abs, prefix), default=0))
             keep &= attained == self.p.alpha
             if not keep.any():
                 return
@@ -630,17 +624,36 @@ class _Generator:
             return
         kept = np.flatnonzero(keep)
         for pos in kept[self._canonical_children(rows, cand[kept])]:
-            new_rows = rows + [tuple(cand[pos].tolist())]
-            entries = tuple(itertools.chain.from_iterable(new_rows))
-            alpha = max(abs(x) for x in entries)
-            positive = all(x > 0 for x in entries)
-            self.found.setdefault((alpha, int(betas[pos])), []).append(
-                (entries, positive, int(dets[pos]))
+            entries = tuple(prefix + cand[pos].tolist())
+            self.found.setdefault((int(attained[pos]), int(betas[pos])), []).append(
+                (entries, min(entries) > 0, int(dets[pos]))
             )
 
-    def _descend(self, rows, ladder, base_mask, start: int, stop_depth: int, sink):
-        """Search below `rows`, whose minor ladder is `ladder`."""
-        idx, grown = self._candidates(rows, ladder[-1], base_mask, start)
+    def _base_mask(self, first: int | None) -> np.ndarray:
+        """Rows the scan may take below a prefix with first row `first`.
+
+        Each row of a canonical matrix has a column-move image, its rowmin,
+        that may not come before the first row.  With no first row yet, the
+        rows that may be first are those equal to their own rowmin.
+        """
+        if first is None:
+            return self.packed == self.rowmin
+        return self.rowmin >= self.packed[first]
+
+    def _descend(
+        self, rows, ladder, first: int | None, last: int, base_mask, stop_depth: int, sink
+    ):
+        """Search below `rows`, whose minor ladder is `ladder`.
+
+        `first` and `last` index the first and last rows of `rows` in the
+        space (None and 0 for the empty prefix), and `base_mask` is
+        _base_mask(first).  A prefix of `stop_depth` rows goes to `sink` as
+        (rows, ladder, first, last) instead of being searched.
+        """
+        if len(rows) == stop_depth:
+            sink((rows, ladder, first, last))
+            return
+        idx, grown = self._candidates(rows, ladder[-1], base_mask, last)
         n = self.n
         if len(rows) + 1 == n:
             if len(idx):
@@ -650,50 +663,30 @@ class _Generator:
         cand = self.rows_arr[idx]
         canonical = self._canonical_children(rows, cand)
         for pos, row in enumerate(cand.tolist()):
-            new_rows = rows + [tuple(row)]
             self._spend()
             if not canonical[pos]:
                 continue
-            new_ladder = ladder + [grown[pos]]
-            if len(new_rows) == stop_depth:
-                sink((new_rows, new_ladder))
-            else:
-                self._descend(new_rows, new_ladder, base_mask, int(idx[pos]), stop_depth, sink)
+            i = int(idx[pos])
+            if not rows:  # row i becomes the first row
+                first, base_mask = i, self._base_mask(i)
+            self._descend(
+                rows + [tuple(row)], ladder + [grown[pos]], first, i, base_mask, stop_depth, sink
+            )
 
     def run_prefixes(self, stop_depth: int):
         """Stage 1: every accepted prefix of `stop_depth` rows, in order.
 
-        A prefix is its rows and their minor ladder.  At n = 1 the first row
-        is also the last, so the leaves are searched here, through the same
-        batch leaf step as every other n.
+        A prefix is (rows, minor ladder, index of the first row, index of the
+        last row); run_subtree searches below it.
         """
         out = []
         empty = [np.ones(1, dtype=np.int64)]  # ladder of no rows: one empty minor
-        if self.n == 1:
-            self._descend([], empty, self.packed == self.rowmin, 0, 1, None)
-            return out
-        for i in self.first_rows:
-            i = int(i)
-            minors = self.rows_arr[i]
-            if np.gcd.reduce(np.abs(minors)) != 1:
-                continue
-            cap = _jacobi_cap(self.n, 1, self.p.alpha, self.p.beta_cap)
-            if cap is not None and np.abs(minors).max() > cap:
-                continue
-            self._spend()
-            row = tuple(self.rows_arr[i].tolist())
-            if stop_depth == 1:
-                out.append(([row], empty + [minors]))
-            else:
-                base_mask = self.rowmin >= self.packed[i]
-                self._descend([row], empty + [minors], base_mask, i, stop_depth, out.append)
+        self._descend([], empty, None, 0, self._base_mask(None), stop_depth, out.append)
         return out
 
-    def run_subtree(self, rows, minors):
-        """Finish the search below one stored prefix; `minors` is its ladder."""
-        packs = _pack(np.array(rows), self.p.alpha)[1]
-        start = int(np.searchsorted(self.packed, packs[-1]))
-        self._descend(rows, minors, self.rowmin >= packs[0], start, self.n + 1, None)
+    def run_subtree(self, rows, ladder, first, last):
+        """Finish the search below one stored prefix."""
+        self._descend(rows, ladder, first, last, self._base_mask(first), self.n + 1, None)
 
     def payload(self) -> dict:
         """This search's result as a JSON-ready work-unit record."""
@@ -712,7 +705,7 @@ class _Generator:
 # work units, checkpoints, merging
 
 
-def _run_unit(params: _SearchParams, value_only: bool, rows, minors, budget) -> dict | None:
+def _run_unit(params: _SearchParams, value_only: bool, prefix, budget) -> dict | None:
     """Search below one stored prefix and return the unit's payload.
 
     The single unit function of serial and pool runs; returns None once
@@ -721,7 +714,7 @@ def _run_unit(params: _SearchParams, value_only: bool, rows, minors, budget) -> 
     gen = _Generator(params, value_only)
     gen.budget = budget
     try:
-        gen.run_subtree(rows, minors)
+        gen.run_subtree(*prefix)
     except _NodeBudget:
         return None
     return gen.payload()
@@ -775,13 +768,10 @@ def _run_search(
     """
     gen = _Generator(params, value_only)
     gen.budget = node_limit
-    unit_depth = min(2, params.n - 1) if params.n > 1 else 1
     try:
-        prefixes = gen.run_prefixes(unit_depth)
+        prefixes = gen.run_prefixes(min(2, params.n - 1))
     except _NodeBudget:
         return _RawResult([], gen.nodes, False)
-    if params.n == 1:
-        return _RawResult([gen.payload()], gen.nodes, True)
 
     cp = SearchCheckpoint(CHECKPOINT_VERSION, asdict(params), len(prefixes), {})
     if resume:
@@ -812,11 +802,11 @@ def _run_search(
     try:
         if pool is None:
             payloads = (
-                _run_unit(params, value_only, *prefixes[i], budget_left()) for i in todo
+                _run_unit(params, value_only, prefixes[i], budget_left()) for i in todo
             )
         else:
             futures = [
-                pool.submit(_run_unit, params, value_only, *prefixes[i], budget_left())
+                pool.submit(_run_unit, params, value_only, prefixes[i], budget_left())
                 for i in todo
             ]
             payloads = (fut.result() for fut in futures)

@@ -706,3 +706,44 @@ def test_checkpoint_rejects_version_1_files(tmp_path):
 def test_resume_requires_checkpoint_path():
     with pytest.raises(CheckpointError):
         enumerate_classes(ClassQuery(2, 3, 3), resume=True)
+
+
+def test_n1_is_one_work_unit(tmp_path):
+    # the empty prefix is n = 1's single unit: journaled and resumed like any other
+    path, fresh_path = tmp_path / "one.ckpt", tmp_path / "fresh.ckpt"
+    q = ClassQuery(1, 1, 1)
+    stopped = enumerate_classes(q, checkpoint_path=str(path), _stop_after_units=0)
+    assert not stopped.complete and stopped.total_count == 0
+    cp = load_checkpoint(str(path))
+    assert (cp.total_units, cp.completed) == (1, {})
+    resumed = enumerate_classes(q, checkpoint_path=str(path), resume=True)
+    fresh = enumerate_classes(q, checkpoint_path=str(fresh_path))
+    for result in (resumed, fresh):
+        assert result.complete
+        assert [c.rep for c in result.classes] == [IntMatrix(1, (1,))]
+        assert result.nodes_explored == 1
+    assert path.read_bytes() == fresh_path.read_bytes()
+    assert list(load_checkpoint(str(path)).completed) == [0]
+    with pytest.raises(CheckpointError):
+        enumerate_classes(q, resume=True)
+
+
+# total_units and nodes_explored of the stage-1 unit lists
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "n, alpha, beta, units, nodes",
+    [
+        (1, 1, 1, 1, 1),
+        (2, 3, 3, 4, 12),
+        (3, 3, 5, 36, 419),
+        (3, 4, 4, 35, 961),
+        (4, 3, 3, 1148, 80032),
+    ],
+)
+def test_stage_one_unit_list(tmp_path, n, alpha, beta, units, nodes, threads):
+    path = str(tmp_path / "search.ckpt")
+    q = ClassQuery(n, alpha, beta, thread_budget=threads)
+    result = enumerate_classes(q, checkpoint_path=path)
+    cp = load_checkpoint(path)
+    assert (cp.total_units, len(cp.completed)) == (units, units)
+    assert result.nodes_explored == nodes
