@@ -30,7 +30,13 @@ and only its survivors get the full inverse.
 Value-only searches (the largest inverse entry) test canonicality on
 prefixes only: duplicates cannot change a maximum, so each final-depth batch
 is reduced to its largest beta and the leaves attaining it, and only the
-winning leaf is tested at the end.
+winning leaf is tested at the end.  They also branch and bound.  Below a
+prefix of n-2 rows, every inverse entry of a completion is linear in the
+last row x once the next row is fixed, so its largest magnitude over the
+box [-alpha, alpha]^n is alpha times the 1-norm of its coefficients
+(_beta_reach).  A child whose bound is strictly below the beta to beat, the
+larger of a floor and the work unit's own running best, is skipped; ties
+survive, so the answer and its witness do not change.
 
 The structural order of candidate rows is the zero-first order of
 canonical.entry_key, at the width the entry bound alpha needs; see the
@@ -52,7 +58,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from math import comb, factorial
 
@@ -439,6 +445,48 @@ def _cofactor_matrix(n: int, i: int, top_minors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _prepend_row(n: int, k: int, row) -> np.ndarray:
+    """Maps the k-column minors of a block to the (k+1)-column minors of the
+    block with `row` prepended."""
+    cols, tpos, pidx, sgn, s_next = _ext_table(n, k, True)
+    v = np.zeros((comb(n, k), s_next), dtype=np.int64)
+    v[pidx, tpos] = sgn * np.asarray(row, dtype=np.int64)[cols]
+    return v
+
+
+@lru_cache(maxsize=16)
+def _pair_minors(n: int) -> np.ndarray:
+    """The 2-column minors of two rows (y, x) as a bilinear form: row
+    a*n + b holds the coefficient of y[a]*x[b] in each minor."""
+    return np.concatenate([_prepend_row(n, 1, y) for y in np.eye(n, dtype=np.int64)])
+
+
+def _beta_reach(alpha: int, rows, ladder, cand: np.ndarray, grown: np.ndarray) -> np.ndarray:
+    """Upper bound on beta over every completion of rows + [y] + [x], for
+    each child y, a row of `cand`, and any last row x in [-alpha, alpha]^n.
+
+    `rows` holds n-2 rows with minor ladder `ladder`, and `grown` holds each
+    child's (n-1)-column minors.  Inverse column n-1 is those minors, up to
+    sign.  Column n-2 is linear in x, with coefficients shared by every
+    child.  Columns 0..n-3 are bilinear in (y, x): the 2-column minors of
+    (y, x) pushed up through the prefix rows, as _accept_leaves builds its
+    bottom blocks, then mapped to cofactors; one product of `cand` with an
+    n x n*n*(n-2) matrix gives every child's coefficients of x.  The largest
+    |c . x| over the box is alpha * ||c||_1.
+    """
+    m, n = cand.shape
+    shared = alpha * np.abs(_cofactor_matrix(n, n - 2, ladder[n - 2])).sum(axis=0).max()
+    forms = np.empty((n, n - 2, n, n), dtype=np.int64)  # [y column, inverse column, row, x column]
+    block = _pair_minors(n)
+    for i in range(n - 3, -1, -1):
+        if i < n - 3:
+            block = block @ _prepend_row(n, n - 2 - i, rows[i + 1])
+        forms[:, i] = (block @ _cofactor_matrix(n, i, ladder[i])).reshape(n, n, n).transpose(0, 2, 1)
+    coef = np.abs(cand @ forms.reshape(n, -1)).reshape(m, n * (n - 2), n)
+    bilinear = alpha * coef.sum(axis=2).max(axis=1, initial=0)
+    return np.maximum(np.abs(grown).max(axis=1), np.maximum(bilinear, shared))
+
+
 # --------------------------------------------------------------------------
 # the depth-first generator
 
@@ -472,12 +520,15 @@ class _Generator:
     An enumeration collects canonical leaves into `found`, bucketed by their
     attained (alpha, beta).  A value-only search instead keeps `best_beta`,
     the largest beta over leaves attaining alpha (0 while there is none),
-    and `tied`, every leaf attaining it in search order.
+    and `tied`, every leaf attaining it in search order.  It skips the
+    children whose bound is below `floor`, a beta some leaf of the search
+    is known to reach, or below `best_beta`.
     """
 
-    def __init__(self, params: _SearchParams, value_only: bool = False):
+    def __init__(self, params: _SearchParams, value_only: bool = False, floor: int = 0):
         self.p = params
         self.value_only = value_only
+        self.floor = floor
         self.n = params.n
         self.rows_arr, self.keys_arr, self.packed, self.rowmin = _space(*params.space_key())
         self.big = key_big(params.alpha)
@@ -598,10 +649,7 @@ class _Generator:
         if n > 1:
             bots.append(cand)
         for i in range(n - 3, -1, -1):
-            cols, tpos, pidx, sgn, s_next = _ext_table(n, n - 2 - i, True)
-            v = np.zeros((bots[-1].shape[1], s_next), dtype=np.int64)
-            v[pidx, tpos] = sgn * np.array(rows[i + 1], dtype=np.int64)[cols]
-            bots.append(bots[-1] @ v)
+            bots.append(bots[-1] @ _prepend_row(n, n - 2 - i, rows[i + 1]))
         bots.reverse()
         inv = np.empty((m, n * n), dtype=np.int64)
         for i in range(n):
@@ -654,17 +702,23 @@ class _Generator:
             sink((rows, ladder, first, last))
             return
         idx, grown = self._candidates(rows, ladder[-1], base_mask, last)
+        if not len(idx):
+            return
         n = self.n
         if len(rows) + 1 == n:
-            if len(idx):
-                self._spend(len(idx))
-                self._accept_batch(rows, ladder, idx, grown[:, 0])
+            self._spend(len(idx))
+            self._accept_batch(rows, ladder, idx, grown[:, 0])
             return
         cand = self.rows_arr[idx]
         canonical = self._canonical_children(rows, cand)
+        reach = None
+        if self.value_only and len(rows) + 2 == n:
+            reach = _beta_reach(self.p.alpha, rows, ladder, cand, grown)
         for pos, row in enumerate(cand.tolist()):
             self._spend()
             if not canonical[pos]:
+                continue
+            if reach is not None and reach[pos] < max(self.floor, self.best_beta):
                 continue
             i = int(idx[pos])
             if not rows:  # row i becomes the first row
@@ -705,13 +759,13 @@ class _Generator:
 # work units, checkpoints, merging
 
 
-def _run_unit(params: _SearchParams, value_only: bool, prefix, budget) -> dict | None:
+def _run_unit(params: _SearchParams, value_only: bool, floor: int, prefix, budget) -> dict | None:
     """Search below one stored prefix and return the unit's payload.
 
     The single unit function of serial and pool runs; returns None once
     more than `budget` nodes are spent.
     """
-    gen = _Generator(params, value_only)
+    gen = _Generator(params, value_only, floor)
     gen.budget = budget
     try:
         gen.run_subtree(*prefix)
@@ -753,6 +807,7 @@ def _run_search(
     params: _SearchParams,
     *,
     value_only: bool = False,
+    floor: int = 0,
     thread_budget: int = 1,
     node_limit: int | None = None,
     checkpoint_path: str | None = None,
@@ -763,10 +818,12 @@ def _run_search(
 
     A truncated search keeps the longest prefix of units, in unit order,
     whose nodes fit `node_limit`, so its result is the same for every
-    worker count.  `value_only` selects the payload kind and is never part
-    of a checkpoint query; only enumerations pass a checkpoint path.
+    worker count.  `value_only` selects the payload kind and `floor` the
+    beta a value-only search prunes below; neither is part of a checkpoint
+    query, and only enumerations pass a checkpoint path.  A pool starts only
+    when at least two units are left to run.
     """
-    gen = _Generator(params, value_only)
+    gen = _Generator(params, value_only, floor)
     gen.budget = node_limit
     try:
         prefixes = gen.run_prefixes(min(2, params.n - 1))
@@ -798,15 +855,16 @@ def _run_search(
     # One ordered stream of payloads: a serial run computes each unit when
     # the loop asks for it, with the nodes left at that point; a pool gets
     # every unit at once, with the nodes left at submission.
-    pool = ProcessPoolExecutor(max_workers=thread_budget) if thread_budget > 1 else None
+    workers = min(thread_budget, len(todo))
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         if pool is None:
             payloads = (
-                _run_unit(params, value_only, prefixes[i], budget_left()) for i in todo
+                _run_unit(params, value_only, floor, prefixes[i], budget_left()) for i in todo
             )
         else:
             futures = [
-                pool.submit(_run_unit, params, value_only, prefixes[i], budget_left())
+                pool.submit(_run_unit, params, value_only, floor, prefixes[i], budget_left())
                 for i in todo
             ]
             payloads = (fut.result() for fut in futures)
@@ -989,6 +1047,11 @@ def max_beta_search(
     engine's zero-first order 0 < 1 < 2 < ... < -1 < -2 < ..., which is the
     first canonical maximiser in search order.  The search tests
     canonicality only on prefixes, then once more on the winning leaves.
+
+    Without a node limit, unrestricted mode first runs the zerofree search
+    for the same (n, alpha): a zerofree maximiser is an unrestricted matrix
+    too, so its beta is a floor that the unrestricted search prunes below.
+    nodes_explored then counts the nodes of both searches.
     """
     if mode not in ("zerofree", "unrestricted"):
         raise ValueError("mode must be 'zerofree' or 'unrestricted'")
@@ -1009,10 +1072,17 @@ def max_beta_search(
         positive_only=False,
         require_zerofree=(mode == "zerofree"),
     )
+    thread_budget = thread_budget or default_thread_budget()
+    floor, floor_nodes = 0, 0
+    if mode == "unrestricted" and node_limit is None:
+        zerofree = replace(params, zeros_allowed=False, require_zerofree=True)
+        floor_run = _run_search(zerofree, value_only=True, thread_budget=thread_budget)
+        floor, floor_nodes = _merge_best(floor_run.units)[0], floor_run.nodes
     raw = _run_search(
         params,
         value_only=True,
-        thread_budget=thread_budget or default_thread_budget(),
+        floor=floor,
+        thread_budget=thread_budget,
         node_limit=node_limit,
     )
     beta_max, tied = _merge_best(raw.units)
@@ -1035,7 +1105,7 @@ def max_beta_search(
         beta_max=beta_max,
         witness=IntMatrix(n, tuple(leaf)),
         certified=raw.complete and n <= 5,
-        nodes_explored=raw.nodes,
+        nodes_explored=floor_nodes + raw.nodes,
     )
 
 

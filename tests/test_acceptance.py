@@ -5,6 +5,7 @@ carries the long_run marker and is selected with `pytest -m long_run`.
 Run `pytest tests/test_acceptance.py -v -s` to see the verdict lines.
 """
 
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from zerofree.canonical import (
     canonical_form_oracle,
     flatten_key,
     inverse_class,
+    minimize_rows,
     random_zerofree_matrix,
 )
 from zerofree.closedform import prop5_count
@@ -25,7 +27,7 @@ from zerofree.engine import (
     theoretical_beta_bound,
     verify_conjecture,
 )
-from zerofree.matrix import IntMatrix, classify, verify_prop0
+from zerofree.matrix import IntMatrix, adjugate_inverse, classify, det, verify_prop0
 
 from known_values import (
     BETA_THEORETICAL,
@@ -201,6 +203,20 @@ def test_t3_conjecture_3():
     )
 
 
+def check_max_beta_witness(res, alpha: int, entries: str):
+    """The witness is the pinned matrix, and it checks out independently of
+    the search: unimodular, max |entry| alpha, beta_max from its adjugate,
+    and its own canonical form.  canonical_form takes zerofree matrices
+    only, so the form is read from minimize_rows, which it is built on and
+    which sorts zero keys first."""
+    w = res.witness
+    assert w.entries == tuple(int(x) for x in entries.split())
+    assert det(w) in (1, -1)
+    assert w.max_abs() == alpha
+    assert adjugate_inverse(w).max_abs() == res.beta_max
+    assert tuple(itertools.chain.from_iterable(minimize_rows(w.rows(), w.n))) == w.entries
+
+
 @pytest.mark.long_run
 def test_t3_max_beta_n5_zerofree():
     res = max_beta_search(5, 2, "zerofree")
@@ -209,6 +225,18 @@ def test_t3_max_beta_n5_zerofree():
         res.beta_max == BETA_ZEROFREE[5] and res.certified,
         f"beta_max={res.beta_max} certified={res.certified} nodes={res.nodes_explored}",
     )
+    check_max_beta_witness(res, 2, "1 1 1 1 2 1 1 2 -2 2 1 2 2 2 -1 1 -2 2 -2 -2 2 -2 1 2 2")
+
+
+@pytest.mark.long_run
+def test_t3_max_beta_n5_unrestricted():
+    res = max_beta_search(5, 2, "unrestricted")
+    report(
+        "max inverse entry for n=5 alpha=2 unrestricted: 182, certified",
+        res.beta_max == BETA_UNRESTRICTED[5] and res.certified,
+        f"beta_max={res.beta_max} certified={res.certified} nodes={res.nodes_explored}",
+    )
+    check_max_beta_witness(res, 2, "0 0 0 1 1 0 1 2 2 -2 1 2 2 -2 2 1 2 -1 2 2 1 2 -2 -1 -2")
 
 
 @pytest.mark.long_run

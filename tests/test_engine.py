@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from zerofree import engine
 from zerofree.canonical import canonical_form, entry_key, flatten_key, inverse_class
 from zerofree.engine import (
     CheckpointError,
@@ -238,24 +239,29 @@ def test_max_beta_unrestricted_2x2_brute_force():
     assert res.beta_max == best == 2
 
 
-# (n, mode, beta_max, nodes_explored, witness) at alpha = 2.  The witness is
-# the first canonical maximiser in search order; a process pool must
-# reproduce the serial result exactly.
+# (n, mode, beta_max, nodes_explored, witness) at alpha = the witness's
+# largest |entry|.  The witness is the first canonical maximiser in search
+# order; a process pool must reproduce the serial result exactly.
+# Unrestricted nodes include the zerofree pass that sets the pruning floor.
 MAX_BETA_WITNESSES = [
-    (2, "unrestricted", 2, 15, "0 1 1 2"),
+    (2, "unrestricted", 2, 19, "0 1 1 2"),
     (2, "zerofree", 2, 4, "1 1 1 2"),
     (3, "zerofree", 5, 42, "1 1 2 1 -2 -2 2 -2 -1"),
-    (3, "unrestricted", 6, 687, "0 0 1 0 1 2 1 2 -2"),
-    (4, "zerofree", 26, 5404, "1 1 1 2 1 2 2 1 1 2 -2 -2 2 2 -1 2"),
-    (4, "unrestricted", 30, 288752, "0 0 1 1 0 1 2 2 1 2 1 -2 1 -2 2 -2"),
+    (3, "unrestricted", 6, 555, "0 0 1 0 1 2 1 2 -2"),
+    (3, "zerofree", 15, 891, "1 1 2 1 3 3 2 -3 2"),
+    (3, "zerofree", 28, 5338, "1 1 2 1 4 3 3 -4 4"),
+    (3, "unrestricted", 15, 3802, "0 0 1 1 2 3 1 3 -3"),
+    (3, "unrestricted", 28, 13740, "0 0 1 1 3 4 1 4 -4"),
+    (4, "zerofree", 26, 4970, "1 1 1 2 1 2 2 1 1 2 -2 -2 2 2 -1 2"),
+    (4, "unrestricted", 30, 71372, "0 0 1 1 0 1 2 2 1 2 1 -2 1 -2 2 -2"),
 ]
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("n, mode, beta, nodes, witness", MAX_BETA_WITNESSES)
 def test_max_beta_witness_regression(n, mode, beta, nodes, witness, threads):
-    res = max_beta_search(n, 2, mode, thread_budget=threads)
     entries = tuple(int(x) for x in witness.split())
+    res = max_beta_search(n, max(map(abs, entries)), mode, thread_budget=threads)
     assert (res.beta_max, res.nodes_explored, res.witness.entries) == (beta, nodes, entries)
     assert res.certified
     assert _is_canonical(entries, n)
@@ -264,7 +270,8 @@ def test_max_beta_witness_regression(n, mode, beta, nodes, witness, threads):
 @pytest.mark.parametrize("mode", ["zerofree", "unrestricted"])
 def test_max_beta_n1(mode):
     res = max_beta_search(1, 1, mode)
-    assert (res.beta_max, res.witness.entries, res.nodes_explored) == (1, (1,), 1)
+    nodes = 1 if mode == "zerofree" else 2  # the zerofree floor pass and its own
+    assert (res.beta_max, res.witness.entries, res.nodes_explored) == (1, (1,), nodes)
     assert res.certified
 
 
@@ -504,6 +511,16 @@ def test_final_depth_matches_leaves_computed_one_by_one(n, alpha, beta_cap, zero
     # the column n-2 test has something to reject exactly when leaves are filtered
     assert (filtered > 0) == (not zeros)
     assert kept
+
+
+def test_one_unit_starts_no_pool(monkeypatch):
+    # n = 1 is one work unit, which a pool could only run serially
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    result = enumerate_classes(ClassQuery(1, 1, 1, thread_budget=2))
+    assert result.complete and result.total_count == 1
 
 
 def test_determinism_across_thread_budgets():
