@@ -27,16 +27,17 @@ determinant of every completion is computed straight off the sorted slice of
 candidate rows, then inverse column n-2 filters the unimodular completions,
 and only its survivors get the full inverse.
 
-Value-only searches (the largest inverse entry) test canonicality on
-prefixes only: duplicates cannot change a maximum, so each final-depth batch
-is reduced to its largest beta and the leaves attaining it, and only the
-winning leaf is tested at the end.  They also branch and bound.  Below a
-prefix of n-2 rows, every inverse entry of a completion is linear in the
-last row x once the next row is fixed, so its largest magnitude over the
-box [-alpha, alpha]^n is alpha times the 1-norm of its coefficients
-(_beta_reach).  A child whose bound is strictly below the beta to beat, the
-larger of a floor and the work unit's own running best, is skipped; ties
-survive, so the answer and its witness do not change.
+A search with no beta cap is value-only (the largest inverse entry).  It
+tests canonicality on prefixes only: duplicates cannot change a maximum, so
+each final-depth batch is reduced to its largest beta and the leaves
+attaining it, bucketed like enumeration leaves, and only the running best's
+bucket is kept; the winning leaf is tested at the end.  Value-only searches
+also branch and bound.  Below a prefix of n-2 rows, every inverse entry of
+a completion is linear in the last row x once the next row is fixed, so its
+largest magnitude over the box [-alpha, alpha]^n is alpha times the 1-norm
+of its coefficients (_beta_reach).  A child whose bound is strictly below
+the running best, which starts at a floor, is skipped; ties survive, so the
+answer and its witness do not change.
 
 The structural order of candidate rows is the zero-first order of
 canonical.entry_key, at the width the entry bound alpha needs; see the
@@ -461,6 +462,24 @@ def _pair_minors(n: int) -> np.ndarray:
     return np.concatenate([_prepend_row(n, 1, y) for y in np.eye(n, dtype=np.int64)])
 
 
+def _cofactor_forms(n: int, rows, ladder, block: np.ndarray, top: int) -> np.ndarray:
+    """Linear forms onto the cofactors of rows 0..top of an n x n matrix.
+
+    `rows` holds the matrix's leading rows, with minor ladder `ladder`, and
+    `block` maps some input onto the (n-1-top)-column minors of rows
+    top+1..n-1.  Pushed up one prefix row at a time, the block gives the
+    minors of the rows below each row i, which _cofactor_matrix turns into
+    the cofactors of row i.  Column i*n + j of the result maps the input
+    onto cofactor j of row i, which is inverse entry (j, i) times det.
+    """
+    forms = np.empty((len(block), n * (top + 1)), dtype=np.int64)
+    for i in range(top, -1, -1):
+        if i < top:
+            block = block @ _prepend_row(n, n - 2 - i, rows[i + 1])
+        forms[:, i * n : (i + 1) * n] = block @ _cofactor_matrix(n, i, ladder[i])
+    return forms
+
+
 def _beta_reach(alpha: int, rows, ladder, cand: np.ndarray, grown: np.ndarray) -> np.ndarray:
     """Upper bound on beta over every completion of rows + [y] + [x], for
     each child y, a row of `cand`, and any last row x in [-alpha, alpha]^n.
@@ -469,19 +488,15 @@ def _beta_reach(alpha: int, rows, ladder, cand: np.ndarray, grown: np.ndarray) -
     child's (n-1)-column minors.  Inverse column n-1 is those minors, up to
     sign.  Column n-2 is linear in x, with coefficients shared by every
     child.  Columns 0..n-3 are bilinear in (y, x): the 2-column minors of
-    (y, x) pushed up through the prefix rows, as _accept_leaves builds its
-    bottom blocks, then mapped to cofactors; one product of `cand` with an
+    (y, x) pushed up through the prefix rows by _cofactor_forms, as
+    _accept_leaves pushes up its last row; one product of `cand` with an
     n x n*n*(n-2) matrix gives every child's coefficients of x.  The largest
     |c . x| over the box is alpha * ||c||_1.
     """
     m, n = cand.shape
     shared = alpha * np.abs(_cofactor_matrix(n, n - 2, ladder[n - 2])).sum(axis=0).max()
-    forms = np.empty((n, n - 2, n, n), dtype=np.int64)  # [y column, inverse column, row, x column]
-    block = _pair_minors(n)
-    for i in range(n - 3, -1, -1):
-        if i < n - 3:
-            block = block @ _prepend_row(n, n - 2 - i, rows[i + 1])
-        forms[:, i] = (block @ _cofactor_matrix(n, i, ladder[i])).reshape(n, n, n).transpose(0, 2, 1)
+    forms = _cofactor_forms(n, rows, ladder, _pair_minors(n), n - 3)
+    forms = forms.reshape(n, n, -1).transpose(0, 2, 1)  # [y column, cofactor, x column]
     coef = np.abs(cand @ forms.reshape(n, -1)).reshape(m, n * (n - 2), n)
     bilinear = alpha * coef.sum(axis=2).max(axis=1, initial=0)
     return np.maximum(np.abs(grown).max(axis=1), np.maximum(bilinear, shared))
@@ -517,26 +532,24 @@ def _is_canonical(entries, n: int) -> bool:
 class _Generator:
     """Depth-first orderly search.
 
-    An enumeration collects canonical leaves into `found`, bucketed by their
-    attained (alpha, beta).  A value-only search instead keeps `best_beta`,
-    the largest beta over leaves attaining alpha (0 while there is none),
-    and `tied`, every leaf attaining it in search order.  It skips the
-    children whose bound is below `floor`, a beta some leaf of the search
-    is known to reach, or below `best_beta`.
+    Kept leaves go into `found`, bucketed by their attained (alpha, beta),
+    as (entries, positive, det) in search order.  An enumeration keeps its
+    canonical leaves.  A value-only search (no beta cap) keeps the leaves
+    that attain alpha and `best_beta`, the largest beta met so far: its
+    bucket is the only one.  `best_beta` starts at `floor`, a beta some leaf
+    of the search is known to reach, and children whose bound is below it
+    are skipped.  More than `budget` nodes raise _NodeBudget.
     """
 
-    def __init__(self, params: _SearchParams, value_only: bool = False, floor: int = 0):
+    def __init__(self, params: _SearchParams, floor: int = 0, budget: int | None = None):
         self.p = params
-        self.value_only = value_only
-        self.floor = floor
         self.n = params.n
         self.rows_arr, self.keys_arr, self.packed, self.rowmin = _space(*params.space_key())
         self.big = key_big(params.alpha)
         self.nodes = 0
-        self.budget: int | None = None
+        self.budget = budget
         self.found: dict[tuple[int, int], list] = {}
-        self.best_beta = 0
-        self.tied: list[list[int]] = []
+        self.best_beta = floor
 
     def _canonical_children(self, rows, cand: np.ndarray) -> np.ndarray:
         """Which children rows + [r], r a row of `cand`, are prefix-canonical.
@@ -635,31 +648,25 @@ class _Generator:
         `cand`, filter the leaves and record the kept ones.
 
         Every candidate shares the same first n-1 rows, so the inverses are
-        assembled for all of them at once: bottom-block minor ladders are
-        matmuls against the batch, and the top-block ladder is the shared
-        prefix's, ladder[i] holding the i-column minors of rows[0..i-1].
+        assembled for all of them at once.  The cofactors of the last row
+        are the prefix's own (n-1)-column minors, the same for every
+        candidate.  Those of each other row are linear in the last row: the
+        identity pushed up through the prefix by _cofactor_forms gives their
+        forms, and one product with the batch gives inverse columns 0..n-2.
         The determinants are +-1, so the inverse is kept up to their sign:
         every test and every stored beta reads its magnitudes.
         """
         n = self.n
-        m = len(cand)
-        # bots[i]: (n-1-i)-column minors of rows[i+1..n-1] per candidate, built
-        # upwards from the empty block below the last row
-        bots = [np.ones((m, 1), dtype=np.int64)]
-        if n > 1:
-            bots.append(cand)
-        for i in range(n - 3, -1, -1):
-            bots.append(bots[-1] @ _prepend_row(n, n - 2 - i, rows[i + 1]))
-        bots.reverse()
-        inv = np.empty((m, n * n), dtype=np.int64)
-        for i in range(n):
-            inv[:, i::n] = bots[i] @ _cofactor_matrix(n, i, ladder[i])
+        forms = _cofactor_forms(n, rows, ladder, np.eye(n, dtype=np.int64), n - 2)
+        inv = np.empty((len(cand), n * n), dtype=np.int64)  # column after column
+        inv[:, : n * (n - 1)] = cand @ forms
+        inv[:, n * (n - 1) :] = _cofactor_matrix(n, n - 1, ladder[n - 1])
         absinv = np.abs(inv)
         keep = self._leaf_keep(absinv)
         betas = absinv.max(axis=1)
         prefix = [x for row in rows for x in row]
         attained = np.maximum(np.abs(cand).max(axis=1), max(map(abs, prefix), default=0))
-        if self.value_only:
+        if self.p.beta_cap is None:
             keep &= attained == self.p.alpha
             if not keep.any():
                 return
@@ -667,11 +674,12 @@ class _Generator:
             if beta < self.best_beta:
                 return
             if beta > self.best_beta:
-                self.best_beta, self.tied = beta, []
-            self.tied.extend(prefix + leaf for leaf in cand[keep & (betas == beta)].tolist())
-            return
-        kept = np.flatnonzero(keep)
-        for pos in kept[self._canonical_children(rows, cand[kept])]:
+                self.best_beta, self.found = beta, {}
+            kept = np.flatnonzero(keep & (betas == beta))
+        else:
+            kept = np.flatnonzero(keep)
+            kept = kept[self._canonical_children(rows, cand[kept])]
+        for pos in kept:
             entries = tuple(prefix + cand[pos].tolist())
             self.found.setdefault((int(attained[pos]), int(betas[pos])), []).append(
                 (entries, min(entries) > 0, int(dets[pos]))
@@ -712,13 +720,13 @@ class _Generator:
         cand = self.rows_arr[idx]
         canonical = self._canonical_children(rows, cand)
         reach = None
-        if self.value_only and len(rows) + 2 == n:
+        if self.p.beta_cap is None and len(rows) + 2 == n:
             reach = _beta_reach(self.p.alpha, rows, ladder, cand, grown)
         for pos, row in enumerate(cand.tolist()):
             self._spend()
             if not canonical[pos]:
                 continue
-            if reach is not None and reach[pos] < max(self.floor, self.best_beta):
+            if reach is not None and reach[pos] < self.best_beta:
                 continue
             i = int(idx[pos])
             if not rows:  # row i becomes the first row
@@ -744,8 +752,6 @@ class _Generator:
 
     def payload(self) -> dict:
         """This search's result as a JSON-ready work-unit record."""
-        if self.value_only:
-            return {"nodes": self.nodes, "beta": self.best_beta, "tied": self.tied}
         return {
             "nodes": self.nodes,
             "found": {
@@ -759,14 +765,13 @@ class _Generator:
 # work units, checkpoints, merging
 
 
-def _run_unit(params: _SearchParams, value_only: bool, floor: int, prefix, budget) -> dict | None:
+def _run_unit(params: _SearchParams, floor: int, prefix, budget) -> dict | None:
     """Search below one stored prefix and return the unit's payload.
 
     The single unit function of serial and pool runs; returns None once
     more than `budget` nodes are spent.
     """
-    gen = _Generator(params, value_only, floor)
-    gen.budget = budget
+    gen = _Generator(params, floor, budget)
     try:
         gen.run_subtree(*prefix)
     except _NodeBudget:
@@ -776,7 +781,7 @@ def _run_unit(params: _SearchParams, value_only: bool, floor: int, prefix, budge
 
 @dataclass
 class _RawResult:
-    units: list[dict]  # payloads of the finished work units, in unit order
+    buckets: dict[tuple[int, int], list]  # the finished units' leaves, merged in unit order
     nodes: int
     complete: bool
 
@@ -792,21 +797,9 @@ def _merge_units(unit_payloads) -> dict[tuple[int, int], list]:
     return buckets
 
 
-def _merge_best(unit_payloads) -> tuple[int, list]:
-    """Largest beta over value-only payloads, with its tied leaves in unit order."""
-    best, tied = 0, []
-    for payload in unit_payloads:
-        if payload["beta"] > best:
-            best, tied = payload["beta"], []
-        if payload["beta"] == best:
-            tied.extend(payload["tied"])
-    return best, tied
-
-
 def _run_search(
     params: _SearchParams,
     *,
-    value_only: bool = False,
     floor: int = 0,
     thread_budget: int = 1,
     node_limit: int | None = None,
@@ -818,17 +811,17 @@ def _run_search(
 
     A truncated search keeps the longest prefix of units, in unit order,
     whose nodes fit `node_limit`, so its result is the same for every
-    worker count.  `value_only` selects the payload kind and `floor` the
-    beta a value-only search prunes below; neither is part of a checkpoint
-    query, and only enumerations pass a checkpoint path.  A pool starts only
-    when at least two units are left to run.
+    worker count.  The finished units' leaves are merged into one set of
+    (alpha, beta) buckets.  `floor` is where a value-only search's running
+    best starts; it is not part of a checkpoint query, and only enumerations
+    pass a checkpoint path.  A pool starts only when at least two units are
+    left to run.
     """
-    gen = _Generator(params, value_only, floor)
-    gen.budget = node_limit
+    gen = _Generator(params, floor, node_limit)
     try:
         prefixes = gen.run_prefixes(min(2, params.n - 1))
     except _NodeBudget:
-        return _RawResult([], gen.nodes, False)
+        return _RawResult({}, gen.nodes, False)
 
     cp = SearchCheckpoint(CHECKPOINT_VERSION, asdict(params), len(prefixes), {})
     if resume:
@@ -859,13 +852,10 @@ def _run_search(
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
         if pool is None:
-            payloads = (
-                _run_unit(params, value_only, floor, prefixes[i], budget_left()) for i in todo
-            )
+            payloads = (_run_unit(params, floor, prefixes[i], budget_left()) for i in todo)
         else:
             futures = [
-                pool.submit(_run_unit, params, value_only, floor, prefixes[i], budget_left())
-                for i in todo
+                pool.submit(_run_unit, params, floor, prefixes[i], budget_left()) for i in todo
             ]
             payloads = (fut.result() for fut in futures)
         for index, payload in zip(todo, payloads):
@@ -881,7 +871,7 @@ def _run_search(
             pool.shutdown(cancel_futures=True)
 
     complete = len(completed) == len(prefixes)
-    return _RawResult([completed[i] for i in sorted(completed)], nodes, complete)
+    return _RawResult(_merge_units(completed[i] for i in sorted(completed)), nodes, complete)
 
 
 # --------------------------------------------------------------------------
@@ -937,7 +927,7 @@ def _search_classes(q: ClassQuery, **run):
         node_limit=q.node_limit,
         **run,
     )
-    return _select(_merge_units(raw.units), q.alpha, lo, hi), raw
+    return _select(raw.buckets, q.alpha, lo, hi), raw
 
 
 def _count_by_beta(hits, lo: int, hi: int) -> dict[int, list[int]]:
@@ -1045,13 +1035,15 @@ def max_beta_search(
 
     The witness is the structurally smallest canonical maximiser in the
     engine's zero-first order 0 < 1 < 2 < ... < -1 < -2 < ..., which is the
-    first canonical maximiser in search order.  The search tests
-    canonicality only on prefixes, then once more on the winning leaves.
+    first canonical maximiser in search order.  The search is the engine's
+    one search with no beta cap: each unit keeps only the bucket of its
+    best beta, so the largest merged bucket is beta_max and holds the tied
+    leaves, which it tests for canonicality in search order.
 
     Without a node limit, unrestricted mode first runs the zerofree search
     for the same (n, alpha): a zerofree maximiser is an unrestricted matrix
-    too, so its beta is a floor that the unrestricted search prunes below.
-    nodes_explored then counts the nodes of both searches.
+    too, so its beta is a floor where the unrestricted search's running best
+    starts.  nodes_explored then counts the nodes of both searches.
     """
     if mode not in ("zerofree", "unrestricted"):
         raise ValueError("mode must be 'zerofree' or 'unrestricted'")
@@ -1076,16 +1068,10 @@ def max_beta_search(
     floor, floor_nodes = 0, 0
     if mode == "unrestricted" and node_limit is None:
         zerofree = replace(params, zeros_allowed=False, require_zerofree=True)
-        floor_run = _run_search(zerofree, value_only=True, thread_budget=thread_budget)
-        floor, floor_nodes = _merge_best(floor_run.units)[0], floor_run.nodes
-    raw = _run_search(
-        params,
-        value_only=True,
-        floor=floor,
-        thread_budget=thread_budget,
-        node_limit=node_limit,
-    )
-    beta_max, tied = _merge_best(raw.units)
+        floor_run = _run_search(zerofree, thread_budget=thread_budget)
+        floor, floor_nodes = max((b for _, b in floor_run.buckets), default=0), floor_run.nodes
+    raw = _run_search(params, floor=floor, thread_budget=thread_budget, node_limit=node_limit)
+    beta_max = max((b for _, b in raw.buckets), default=0)
     if not raw.complete and (not beta_max or not best_effort):
         raise IncompleteSearchError("search stopped early; rerun with a larger budget")
     if not beta_max:
@@ -1093,7 +1079,7 @@ def max_beta_search(
     # A leaf's canonical form is a leaf of the same or an earlier unit, and the
     # finished units are a prefix of the unit order, so the smallest tied leaf
     # is canonical: the first test passes.
-    for leaf in tied:
+    for _, leaf, _, _ in _select(raw.buckets, alpha, beta_max, beta_max):
         if _is_canonical(leaf, n):
             break
     else:
@@ -1103,7 +1089,7 @@ def max_beta_search(
         alpha=alpha,
         mode=mode,
         beta_max=beta_max,
-        witness=IntMatrix(n, tuple(leaf)),
+        witness=IntMatrix(n, leaf),
         certified=raw.complete and n <= 5,
         nodes_explored=floor_nodes + raw.nodes,
     )

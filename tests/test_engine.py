@@ -254,6 +254,10 @@ MAX_BETA_WITNESSES = [
     (3, "unrestricted", 28, 13740, "0 0 1 1 3 4 1 4 -4"),
     (4, "zerofree", 26, 4970, "1 1 1 2 1 2 2 1 1 2 -2 -2 2 2 -1 2"),
     (4, "unrestricted", 30, 71372, "0 0 1 1 0 1 2 2 1 2 1 -2 1 -2 2 -2"),
+    # alpha = 1: the zerofree floor pass finds no leaf, so the floor is 0
+    (2, "unrestricted", 1, 9, "0 1 1 0"),
+    (3, "unrestricted", 2, 75, "0 0 1 0 1 1 1 1 -1"),
+    (4, "unrestricted", 4, 1246, "0 0 0 1 0 0 1 1 0 1 1 -1 1 1 -1 1"),
 ]
 
 
@@ -273,6 +277,40 @@ def test_max_beta_n1(mode):
     nodes = 1 if mode == "zerofree" else 2  # the zerofree floor pass and its own
     assert (res.beta_max, res.witness.entries, res.nodes_explored) == (1, (1,), nodes)
     assert res.certified
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_max_beta_zerofree_alpha_1_has_no_matrix(n):
+    # every +-1 matrix with n >= 2 has an even determinant
+    with pytest.raises(ValueError, match="no unimodular matrix"):
+        max_beta_search(n, 1, "zerofree")
+
+
+@pytest.mark.parametrize("mode", ["zerofree", "unrestricted"])
+def test_value_only_unit_payload_is_one_bucket_in_search_order(mode):
+    # a search with no beta cap keeps, per unit, the leaves tied at its best
+    # beta, as one "alpha,beta" bucket of (entries, positive, det)
+    n, alpha = 3, 2
+    p = _SearchParams(n, alpha, None, mode == "unrestricted", False, mode == "zerofree")
+    best = max_beta_search(n, alpha, mode).beta_max
+    betas = []
+    for prefix in _Generator(p).run_prefixes(2):
+        payload = engine._run_unit(p, 0, prefix, None)
+        assert set(payload) == {"nodes", "found"}
+        assert len(payload["found"]) <= 1
+        for key, hits in payload["found"].items():
+            a, beta = map(int, key.split(","))
+            assert a == alpha and hits
+            for entries, positive, d in hits:
+                m = IntMatrix(n, tuple(entries))
+                assert (m.max_abs(), adjugate_inverse(m).max_abs()) == (alpha, beta)
+                assert (positive, d) == (min(entries) > 0, det(m))
+            keys = [[entry_key(x) for x in entries] for entries, _, _ in hits]
+            assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
+            betas.append(beta)
+        # a unit starting from a floor above every beta keeps nothing
+        assert engine._run_unit(p, best + 1, prefix, None)["found"] == {}
+    assert max(betas) == best
 
 
 def test_max_beta_requires_best_effort_for_large_n():
@@ -422,8 +460,9 @@ def _keys(row):
 def _final_depth_reference(p: _SearchParams, value_only: bool, space, rows):
     """Below one (n-1)-row prefix: the batch of unimodular completions with
     their determinants, the survivors of the inverse column n-2 test, and
-    what the search keeps.  Each completion goes through matrix.det and
-    adjugate_inverse on its own."""
+    what the search keeps: the canonical leaves, or for a value-only search
+    every leaf attaining the batch's best beta.  Each completion goes
+    through matrix.det and adjugate_inverse on its own."""
     n = p.n
     equal_cols = [c for c in range(n - 1) if all(r[c] == r[c + 1] for r in rows)]
 
@@ -453,20 +492,20 @@ def _final_depth_reference(p: _SearchParams, value_only: bool, space, rows):
             continue
         leaves.append((m, d, max(absinv)))
     if value_only:
-        attaining = [(m, beta) for m, _, beta in leaves if max(map(abs, m.entries)) == p.alpha]
-        best = max((beta for _, beta in attaining), default=0)
-        return batch, survivors, (best, [list(m.entries) for m, beta in attaining if beta == best])
+        attaining = [leaf for leaf in leaves if max(map(abs, leaf[0].entries)) == p.alpha]
+        best = max((beta for _, _, beta in attaining), default=0)
+        leaves = [leaf for leaf in attaining if leaf[2] == best]
     found = {}
     for m, d, beta in leaves:
-        if canonical_form(m) == m:
+        if value_only or canonical_form(m) == m:
             key = (max(map(abs, m.entries)), beta)
             found.setdefault(key, []).append((m.entries, min(m.entries) > 0, d))
     return batch, survivors, found
 
 
-def _final_depth_engine(p: _SearchParams, value_only: bool, prefix):
+def _final_depth_engine(p: _SearchParams, prefix):
     """The same three things from the engine, recorded at its final-depth calls."""
-    gen = _Generator(p, value_only)
+    gen = _Generator(p)
     batch, survivors = [], []
     accept_batch, accept_leaves = gen._accept_batch, gen._accept_leaves
 
@@ -480,8 +519,7 @@ def _final_depth_engine(p: _SearchParams, value_only: bool, prefix):
 
     gen._accept_batch, gen._accept_leaves = record_batch, record_leaves
     gen.run_subtree(*prefix)
-    kept = (gen.best_beta, gen.tied) if value_only else gen.found
-    return batch, survivors, kept
+    return batch, survivors, gen.found
 
 
 @pytest.mark.parametrize(
@@ -497,17 +535,18 @@ def _final_depth_engine(p: _SearchParams, value_only: bool, prefix):
     ],
 )
 def test_final_depth_matches_leaves_computed_one_by_one(n, alpha, beta_cap, zeros, value_only):
+    # a search with no beta cap is the value-only search
     p = _SearchParams(n, alpha, beta_cap, zeros, False, require_zerofree=not zeros)
-    prefixes = _Generator(p, value_only).run_prefixes(n - 1)
+    prefixes = _Generator(p).run_prefixes(n - 1)
     assert prefixes
     values = ([0] if zeros else []) + [v for a in range(1, alpha + 1) for v in (a, -a)]
     space = sorted(itertools.product(values, repeat=n), key=_keys)
     filtered = kept = 0
     for prefix in prefixes[:: max(1, len(prefixes) // 40)]:
         expected = _final_depth_reference(p, value_only, space, prefix[0])
-        assert _final_depth_engine(p, value_only, prefix) == expected
+        assert _final_depth_engine(p, prefix) == expected
         filtered += len(expected[0]) - len(expected[1])
-        kept += bool(expected[2][0] if value_only else expected[2])
+        kept += bool(expected[2])
     # the column n-2 test has something to reject exactly when leaves are filtered
     assert (filtered > 0) == (not zeros)
     assert kept
