@@ -182,9 +182,9 @@ def minimize_rows(rows, ncols, test=False):
     tracked here as packed per-column profiles.  Keys are as narrow as the
     block's largest entry allows.
 
-    With test=True the call returns None as soon as some arrangement beats
-    the block itself, and the block when none does, which turns this into
-    the canonicality test used by the enumeration engine.  Entries may be
+    With test=True the call returns None at the first level whose minimum
+    beats the block's own row, and the block when none does: the
+    canonicality test used by the enumeration engine.  Entries may be
     zero only in engine-internal use; zero keys sort first.
     """
     big = key_big(max(map(abs, itertools.chain.from_iterable(rows))))
@@ -193,7 +193,8 @@ def minimize_rows(rows, ncols, test=False):
 
 def _level_search(rows, ncols, test, big, levels=None):
     """minimize_rows at key width `big`; `levels`, when given, receives
-    the state list in force before each level and the final one."""
+    the state list in force before each level and the final one.  Test
+    mode compares each level's minimum with the block's own row."""
     k = len(rows)
     shift = big.bit_length()
     mask = (1 << shift) - 1
@@ -208,7 +209,6 @@ def _level_search(rows, ncols, test, big, levels=None):
             levels.append(states)
         best = None
         best_states = {}
-        tgt = kpos[depth] if test else None
         signs_choices = (1,) if depth == 0 else (1, -1)
         for used, profs, signs in states:
             for i in range(k):
@@ -241,27 +241,21 @@ def _level_search(rows, ncols, test, big, levels=None):
                                 key = 0
                         new_profs[c] = (profs[c] << shift) | key
                     digits = tuple([p & mask for p in sorted(new_profs)])
-                    if tgt is not None:
-                        if digits > tgt:
-                            continue
-                        if digits < tgt:
-                            return None
-                    elif best is None or digits < best:
+                    if best is None or digits < best:
                         best = digits
                         best_states = {}
                     elif digits != best:
                         continue
                     new_signs = signs if resolved is None else tuple(resolved)
                     best_states[(used | bit, tuple(new_profs), new_signs)] = None
-        if not test:
-            out.append(best)
-        elif not best_states:
+        if test and best != kpos[depth]:
+            if best < kpos[depth]:
+                return None
             raise AssertionError("canonical search lost the identity arrangement")
+        out.append(best)
         states = list(best_states)
     if levels is not None:
         levels.append(states)
-    if test:
-        return rows
     return [tuple([key if key < big else big - key for key in row]) for row in out]
 
 

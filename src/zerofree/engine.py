@@ -59,6 +59,7 @@ import os
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
 from math import comb, factorial
@@ -138,7 +139,7 @@ class ClassQuery:
 
     `node_limit` truncates the search to the longest prefix of its work
     units, in unit order, whose nodes fit the limit; the truncated result
-    is the same for every `thread_budget`.
+    is the same for every `thread_budget`, in a fresh or a resumed run.
     """
 
     n: int
@@ -354,12 +355,12 @@ def _space(n: int, alpha: int, zeros_allowed: bool, positive_only: bool):
 
 
 @lru_cache(maxsize=64)
-def _ext_table(n: int, k: int, first_row: bool = False):
+def _ext_table(n: int, k: int):
     """Laplace data to grow k-column minors into (k+1)-column minors.
 
     One entry per term: the new row's column, the (k+1)-subset, the parent
-    k-subset and the sign.  first_row expands along a prepended row (sign
-    (-1)^j), otherwise along an appended row (sign (-1)^(k+j)).
+    k-subset and the sign (-1)^j of expanding along a row added at the top,
+    j being the column's position in the subset.
     """
     parents = {T: i for i, T in enumerate(itertools.combinations(range(n), k))}
     cols, tpos, pidx, sgn = [], [], [], []
@@ -369,7 +370,7 @@ def _ext_table(n: int, k: int, first_row: bool = False):
             cols.append(c)
             tpos.append(t)
             pidx.append(parents[T[:j] + T[j + 1 :]])
-            sgn.append(-1 if (j if first_row else k + j) % 2 else 1)
+            sgn.append(-1 if j % 2 else 1)
     return (
         np.array(cols),
         np.array(tpos),
@@ -382,12 +383,13 @@ def _ext_table(n: int, k: int, first_row: bool = False):
 def _grow_minors(n: int, k: int, minors: np.ndarray, rows_arr: np.ndarray) -> np.ndarray:
     """Minors of all (k+1)-column subsets for every candidate next row.
 
-    Laplace expansion along the appended row: each (k+1)-column minor is a
-    signed combination of the parent k-column minors.
+    Laplace expansion along the appended row, (-1)^k times the expansion
+    along a top row: each (k+1)-column minor is a signed combination of the
+    parent k-column minors.
     """
     cols, tpos, pidx, sgn, s_next = _ext_table(n, k)
     w = np.zeros((n, s_next), dtype=np.int64)
-    w[cols, tpos] = sgn * minors[pidx]
+    w[cols, tpos] = (sgn if k % 2 == 0 else -sgn) * minors[pidx]
     return rows_arr @ w
 
 
@@ -449,7 +451,7 @@ def _cofactor_matrix(n: int, i: int, top_minors: np.ndarray) -> np.ndarray:
 def _prepend_row(n: int, k: int, row) -> np.ndarray:
     """Maps the k-column minors of a block to the (k+1)-column minors of the
     block with `row` prepended."""
-    cols, tpos, pidx, sgn, s_next = _ext_table(n, k, True)
+    cols, tpos, pidx, sgn, s_next = _ext_table(n, k)
     v = np.zeros((comb(n, k), s_next), dtype=np.int64)
     v[pidx, tpos] = sgn * np.asarray(row, dtype=np.int64)[cols]
     return v
@@ -807,15 +809,18 @@ def _run_search(
     resume: bool = False,
     stop_after_units: int | None = None,
 ) -> _RawResult:
-    """Stage 1 lists the work units; stage 2 runs each one, serially or in a pool.
+    """Stage 1 lists the work units; stage 2 reads one ordered stream of
+    (index, payload): the journal's finished units, then the units left, run
+    by `map` or a pool's `map`, which start once the journal is walked.
 
-    A truncated search keeps the longest prefix of units, in unit order,
-    whose nodes fit `node_limit`, so its result is the same for every
-    worker count.  The finished units' leaves are merged into one set of
-    (alpha, beta) buckets.  `floor` is where a value-only search's running
-    best starts; it is not part of a checkpoint query, and only enumerations
-    pass a checkpoint path.  A pool starts only when at least two units are
-    left to run.
+    Every payload takes the one fit check, so a truncated search keeps the
+    longest prefix of units, in unit order, whose nodes fit `node_limit`,
+    the same fresh or resumed and for every worker count.  `map` reads a
+    unit's budget when the loop asks for it; Executor.map reads every budget
+    at submission.  A pool starts for two units or more, with at most one
+    worker a CPU.  Kept units are merged in unit order into (alpha, beta)
+    buckets.  `floor` starts a value-only search's running best; it is not
+    part of a checkpoint query, and only enumerations pass a checkpoint.
     """
     gen = _Generator(params, floor, node_limit)
     try:
@@ -837,41 +842,40 @@ def _run_search(
             os.truncate(checkpoint_path, os.path.getsize(checkpoint_path) - cp.torn_tail)
     elif checkpoint_path is not None:
         save_checkpoint(checkpoint_path, cp)
-    completed = cp.completed
+    journal = cp.completed
 
-    todo = [i for i in range(len(prefixes)) if i not in completed][:stop_after_units]
-    nodes = gen.nodes + sum(p["nodes"] for p in completed.values())
+    todo = [i for i in range(len(prefixes)) if i not in journal][:stop_after_units]
+    nodes = gen.nodes
+    kept: dict[int, dict] = {}
 
     def budget_left() -> int | None:
         return None if node_limit is None else node_limit - nodes
 
-    # One ordered stream of payloads: a serial run computes each unit when
-    # the loop asks for it, with the nodes left at that point; a pool gets
-    # every unit at once, with the nodes left at submission.
-    workers = min(thread_budget, len(todo))
-    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        if pool is None:
-            payloads = (_run_unit(params, floor, prefixes[i], budget_left()) for i in todo)
-        else:
-            futures = [
-                pool.submit(_run_unit, params, floor, prefixes[i], budget_left()) for i in todo
-            ]
-            payloads = (fut.result() for fut in futures)
-        for index, payload in zip(todo, payloads):
+    def computed():
+        workers = min(thread_budget, len(todo), os.cpu_count() or 1)
+        pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+        try:
+            units, budgets = (prefixes[i] for i in todo), (budget_left() for _ in todo)
+            args = itertools.repeat(params), itertools.repeat(floor), units, budgets
+            yield from zip(todo, (pool.map if pool else map)(_run_unit, *args))
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+
+    with closing(computed()) as rest:
+        for index, payload in itertools.chain(sorted(journal.items()), rest):
             left = budget_left()
             if payload is None or (left is not None and payload["nodes"] > left):
                 break
-            completed[index] = payload
+            kept[index] = payload
             nodes += payload["nodes"]
-            if checkpoint_path is not None:
-                save_checkpoint(checkpoint_path, cp, index)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+            if index not in journal:
+                journal[index] = payload
+                if checkpoint_path is not None:
+                    save_checkpoint(checkpoint_path, cp, index)
 
-    complete = len(completed) == len(prefixes)
-    return _RawResult(_merge_units(completed[i] for i in sorted(completed)), nodes, complete)
+    merged = _merge_units(kept[i] for i in sorted(kept))
+    return _RawResult(merged, nodes, len(kept) == len(prefixes))
 
 
 # --------------------------------------------------------------------------
@@ -1038,7 +1042,7 @@ def max_beta_search(
     first canonical maximiser in search order.  The search is the engine's
     one search with no beta cap: each unit keeps only the bucket of its
     best beta, so the largest merged bucket is beta_max and holds the tied
-    leaves, which it tests for canonicality in search order.
+    leaves, the smallest of which is the witness.
 
     Without a node limit, unrestricted mode first runs the zerofree search
     for the same (n, alpha): a zerofree maximiser is an unrestricted matrix
@@ -1078,12 +1082,10 @@ def max_beta_search(
         raise ValueError(f"no unimodular matrix attains max |entry| = {alpha} for n = {n}")
     # A leaf's canonical form is a leaf of the same or an earlier unit, and the
     # finished units are a prefix of the unit order, so the smallest tied leaf
-    # is canonical: the first test passes.
-    for _, leaf, _, _ in _select(raw.buckets, alpha, beta_max, beta_max):
-        if _is_canonical(leaf, n):
-            break
-    else:
-        raise RuntimeError("no tied leaf passed the canonicality test")
+    # is canonical.
+    _, leaf, _, _ = _select(raw.buckets, alpha, beta_max, beta_max)[0]
+    if not _is_canonical(leaf, n):
+        raise RuntimeError("the smallest tied leaf is not canonical")
     return MaxBetaResult(
         n=n,
         alpha=alpha,

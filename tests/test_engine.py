@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from concurrent.futures import Executor, Future
 
 import numpy as np
 import pytest
@@ -560,6 +561,29 @@ def test_one_unit_starts_no_pool(monkeypatch):
     monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
     result = enumerate_classes(ClassQuery(1, 1, 1, thread_budget=2))
     assert result.complete and result.total_count == 1
+
+
+@pytest.mark.parametrize("cpus, started", [(3, [3]), (None, [])])
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, cpus, started):
+    # a fake pool that runs each unit at submission, so no process starts
+    pools = []
+
+    class SerialExecutor(Executor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def submit(self, fn, *args):
+            fut = Future()
+            fut.set_result(fn(*args))
+            return fut
+
+    serial = enumerate_classes(ClassQuery(3, 3, 5, thread_budget=1))
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    capped = enumerate_classes(ClassQuery(3, 3, 5, thread_budget=1000))
+    assert pools == started
+    assert capped.nodes_explored == serial.nodes_explored
+    assert [c.rep.entries for c in capped.classes] == [c.rep.entries for c in serial.classes]
 
 
 def test_determinism_across_thread_budgets():

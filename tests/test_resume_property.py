@@ -1,6 +1,7 @@
 """Properties: every stop/resume split and every node limit of a checkpointed
 search, at any worker count, resumes to the result and the journal of one
-uninterrupted serial run."""
+uninterrupted serial run, and a split resumed under a node limit gives the
+result of a fresh run under that limit."""
 
 import os
 import tempfile
@@ -75,3 +76,29 @@ def test_any_node_limit_truncates_alike_and_resumes(uninterrupted, limit, thread
             ClassQuery(*QUERY, thread_budget=threads), checkpoint_path=path, resume=True
         )
         assert _outcome(resumed, path) == uninterrupted
+
+
+@hypothesis.settings(max_examples=25, deadline=None)
+@hypothesis.given(
+    stop=st.integers(0, UNITS),
+    first=st.sampled_from([1, 2]),
+    second=st.sampled_from([1, 2]),
+    limit=st.integers(1, NODES + 10),
+)
+# the whole journal outweighs the limit: no unit of it may count
+@hypothesis.example(stop=UNITS, first=1, second=1, limit=100)
+def test_resuming_under_a_node_limit_equals_a_fresh_run_under_it(stop, first, second, limit):
+    fresh = enumerate_classes(ClassQuery(*QUERY, thread_budget=1, node_limit=limit))
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "split.ckpt")
+        enumerate_classes(
+            ClassQuery(*QUERY, thread_budget=first), checkpoint_path=path, _stop_after_units=stop
+        )
+        resumed = enumerate_classes(
+            ClassQuery(*QUERY, thread_budget=second, node_limit=limit),
+            checkpoint_path=path,
+            resume=True,
+        )
+    assert [c.rep.entries for c in resumed.classes] == [c.rep.entries for c in fresh.classes]
+    assert (resumed.nodes_explored, resumed.complete) == (fresh.nodes_explored, fresh.complete)
+    assert resumed.nodes_explored <= limit

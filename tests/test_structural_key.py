@@ -1,5 +1,6 @@
 """Properties of the one structural key: canonical forms where the key width
-steps, and the canonicality test against canonical_form."""
+steps, and the canonicality test against canonical_form and, on blocks with
+zero entries, against minimize_rows."""
 
 import pytest
 
@@ -51,3 +52,23 @@ def test_canonicality_test_agrees_with_canonical_form(m):
     verdict = minimize_rows(m.rows(), m.n, True)
     assert (verdict is not None) == (canonical_form(m) == m)
     assert verdict is None or verdict == m.rows()
+
+
+@st.composite
+def blocks_with_zeros(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, n))
+    alpha = draw(st.integers(1, 3))
+    row = st.lists(st.integers(-alpha, alpha), min_size=n, max_size=n).map(tuple)
+    rows = draw(st.lists(row, min_size=k, max_size=k))
+    # half of the draws are minimal, so both verdicts occur
+    return n, minimize_rows(rows, n) if draw(st.booleans()) else rows
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(case=blocks_with_zeros())
+def test_canonicality_test_agrees_with_minimize_rows_on_blocks_with_zeros(case):
+    n, rows = case
+    verdict = minimize_rows(rows, n, True)
+    assert (verdict is not None) == (minimize_rows(rows, n) == rows)
+    assert verdict is None or verdict == rows
