@@ -11,6 +11,18 @@ canonical_form computes that member exactly with a level-by-level tie-set
 search; canonical_form_oracle recomputes it by brute force over the whole
 group and exists so the two routes can check each other.
 
+After each level the tie-set search keeps one state of each class of
+interchangeable states.  Two states are interchangeable when they use the
+same rows and a column bijection that keeps the profiles, with a sign for
+each unused row, carries one onto the other.  Every later placement in one
+is then matched by a placement in the other with the same image row, so the
+merge changes no level's minimum, and so not the result.  This spares
+symmetric inputs a search over their automorphisms; McKay and Piperno
+("Practical graph isomorphism, II", 2014) prune equivalent search nodes the
+same way.  prefix_ties is exempt: a child's new row is not among the
+block's rows, so states that agree on the block's unused rows may still
+differ on it.
+
 The order is encoded once, by entry_key: 0 -> 0, x > 0 -> x and x < 0 ->
 big - x, monotone whenever big > max |x|.  Putting zero first extends it to
 0 < 1 < 2 < ... < -1 < -2 < ..., the order in which the search engine lists
@@ -36,6 +48,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -176,11 +189,11 @@ def minimize_rows(rows, ncols, test=False):
 
     Returns the minimal block as a list of entry rows.  The search walks the
     rows in order; at each level every state that still attains the minimal
-    prefix is kept, so the result is exact.  Column permutations never appear
-    explicitly: for a fixed choice of source rows and row signs, the best
-    column arrangement is the structural sort of the sign-normalized columns,
-    tracked here as packed per-column profiles.  Keys are as narrow as the
-    block's largest entry allows.
+    prefix is kept, up to interchangeable ones, so the result is exact.
+    Column permutations never appear explicitly: for a fixed choice of
+    source rows and row signs, the best column arrangement is the structural
+    sort of the sign-normalized columns, tracked here as packed per-column
+    profiles.  Keys are as narrow as the block's largest entry allows.
 
     With test=True the call returns None at the first level whose minimum
     beats the block's own row, and the block when none does: the
@@ -194,7 +207,14 @@ def minimize_rows(rows, ncols, test=False):
 def _level_search(rows, ncols, test, big, levels=None):
     """minimize_rows at key width `big`; `levels`, when given, receives
     the state list in force before each level and the final one.  Test
-    mode compares each level's minimum with the block's own row."""
+    mode compares each level's minimum with the block's own row.
+
+    After each level, interchangeable states are merged (_merge_ties), so
+    2I+J keeps C(n, d) states after level d instead of n!/(n-d)!.  The
+    minima, and so the result, are the same as without the merge.  With
+    `levels` nothing is merged: prefix_ties places rows that are not in
+    the block after every state, and those placements can tell apart
+    states that the block's own rows cannot."""
     k = len(rows)
     shift = big.bit_length()
     mask = (1 << shift) - 1
@@ -254,9 +274,40 @@ def _level_search(rows, ncols, test, big, levels=None):
             raise AssertionError("canonical search lost the identity arrangement")
         out.append(best)
         states = list(best_states)
+        if levels is None and len(states) > 1:
+            states = _merge_ties(states, rows)
     if levels is not None:
         levels.append(states)
     return [tuple([key if key < big else big - key for key in row]) for row in out]
+
+
+def _merge_ties(states, rows):
+    """One state of each class of interchangeable states; the first seen stays.
+
+    Two states that use the same rows are interchangeable when a column
+    bijection that keeps the profiles, with a sign for each unused row,
+    carries the unused entries of one onto the other's, each entry taken
+    with its column's resolved sign (u*x, or x where u = 0).  Placing row i
+    with sign s in one state then gives the same image row as placing it
+    with s times row i's sign in the other, and the two new states are
+    again interchangeable.  The key flips each unused row to a nonnegative
+    sum and sorts the columns as (profile, entries); equal keys give such a
+    bijection.  A profile is zero exactly while its column is unresolved.
+    """
+    shared = Counter(used for used, _, _ in states)
+    kept = {}
+    for state in states:
+        used, profs, signs = state
+        if shared[used] == 1:
+            kept[used] = state
+            continue
+        free = []
+        for i, row in enumerate(rows):
+            if not used >> i & 1:
+                e = [u * x if u else x for u, x in zip(signs, row)]
+                free.append(e if sum(e) >= 0 else [-x for x in e])
+        kept.setdefault((used, tuple(sorted(zip(profs, *free)))), state)
+    return list(kept.values())
 
 
 def pack_keys(keys: np.ndarray, big: int) -> np.ndarray:

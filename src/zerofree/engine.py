@@ -822,26 +822,29 @@ def _run_search(
     buckets.  `floor` starts a value-only search's running best; it is not
     part of a checkpoint query, and only enumerations pass a checkpoint.
     """
+    if resume:
+        # before stage 1, which may stop on the node limit first
+        if checkpoint_path is None:
+            raise CheckpointError("resume requested without a checkpoint file")
+        cp = load_checkpoint(checkpoint_path)
+        if cp.query != asdict(params):
+            raise CheckpointError("checkpoint belongs to a different query")
     gen = _Generator(params, floor, node_limit)
     try:
         prefixes = gen.run_prefixes(min(2, params.n - 1))
     except _NodeBudget:
         return _RawResult({}, gen.nodes, False)
 
-    cp = SearchCheckpoint(CHECKPOINT_VERSION, asdict(params), len(prefixes), {})
     if resume:
-        if checkpoint_path is None:
-            raise CheckpointError("resume requested without a checkpoint file")
-        cp = load_checkpoint(checkpoint_path)
-        if cp.query != asdict(params):
-            raise CheckpointError("checkpoint belongs to a different query")
         if cp.total_units != len(prefixes):
             raise CheckpointError("checkpoint unit count disagrees with this search")
         if cp.torn_tail:
             # cut the torn last write, so the next record starts its own line
             os.truncate(checkpoint_path, os.path.getsize(checkpoint_path) - cp.torn_tail)
-    elif checkpoint_path is not None:
-        save_checkpoint(checkpoint_path, cp)
+    else:
+        cp = SearchCheckpoint(CHECKPOINT_VERSION, asdict(params), len(prefixes), {})
+        if checkpoint_path is not None:
+            save_checkpoint(checkpoint_path, cp)
     journal = cp.completed
 
     todo = [i for i in range(len(prefixes)) if i not in journal][:stop_after_units]

@@ -1,10 +1,12 @@
 """Structural ordering, group action, and canonical representatives."""
 
 import itertools
+import math
 import random
 
 import pytest
 
+from zerofree import canonical
 from zerofree.canonical import (
     CanonicalClass,
     GroupElement,
@@ -14,7 +16,9 @@ from zerofree.canonical import (
     canonical_form_oracle,
     flatten_key,
     inverse_class,
+    key_big,
     orbit_equivalent,
+    prefix_ties,
     random_zerofree_matrix,
     structural_cmp,
     structural_key,
@@ -225,6 +229,88 @@ def test_oracle_agreement_spot_samples_5x5():
     for _ in range(5):
         m = random_zerofree_matrix(5, rng)
         assert canonical_form(m) == canonical_form_oracle(m)
+
+
+# Symmetric 1/2 patterns: their automorphisms keep many interchangeable tie
+# states at every level, which the search merges.  Each also comes with its
+# first entry negated: that keeps much of the symmetry but makes the signs
+# matter, so a merge that confuses states differing in signs shows.
+def _circulant(n, offsets):
+    entries = (2 if (j - i) % n in offsets else 1 for i in range(n) for j in range(n))
+    return IntMatrix(n, tuple(entries))
+
+
+def _blocks(n):
+    h = n // 2
+    return IntMatrix(n, tuple(2 if (i < h) == (j < h) else 1 for i in range(n) for j in range(n)))
+
+
+def _symmetric_patterns(n):
+    offsets = [(), (0,), (0, 1), (0, 2)]
+    plain = [_circulant(n, o) for o in offsets] + [_blocks(n)]
+    return plain + [IntMatrix(n, (-p.entries[0],) + p.entries[1:]) for p in plain]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_oracle_agreement_on_signed_images_of_symmetric_patterns(n):
+    rng = random.Random(2013 + n)
+    for pattern in _symmetric_patterns(n):
+        for _ in range(8):
+            m = apply(GroupElement.random(n, rng), pattern)
+            assert canonical_form(m) == canonical_form_oracle(m)
+
+
+@pytest.mark.long_run
+def test_oracle_agreement_on_signed_images_of_symmetric_patterns_5x5():
+    # every image of a pattern lies in one orbit, so one oracle call serves all
+    rng = random.Random(2018)
+    for pattern in _symmetric_patterns(5):
+        images = [apply(GroupElement.random(5, rng), pattern) for _ in range(4)]
+        expected = canonical_form_oracle(images[0])
+        assert all(canonical_form(m) == expected for m in images)
+
+
+def test_merge_keeps_one_tie_state_per_used_row_set_on_2i_plus_j(monkeypatch):
+    # unmerged, 2I+J keeps n!/(n-d)! states after level d, one per arrangement
+    kept = []
+    merge = canonical._merge_ties
+
+    def counted(states, rows):
+        out = merge(states, rows)
+        kept.append((out[0][0].bit_count(), len(out)))
+        return out
+
+    monkeypatch.setattr(canonical, "_merge_ties", counted)
+    rng = random.Random(2019)
+    for n in (6, 7):
+        kept.clear()
+        canonical_form(apply(GroupElement.random(n, rng), _circulant(n, (0,))))
+        assert [d for d, _ in kept] == list(range(1, n + 1))
+        assert all(count <= math.comb(n, d) for d, count in kept)
+        assert kept[-1] == (n, 1)
+
+
+def test_prefix_ties_records_unmerged_levels(monkeypatch):
+    # a child's new row is not among the block's rows, so no state may merge
+    recorded = []
+    search = canonical._level_search
+
+    def recording(rows, ncols, test, big, levels=None):
+        out = search(rows, ncols, test, big, levels)
+        recorded.append([len(states) for states in levels])
+        return out
+
+    def merge(states, rows):
+        raise AssertionError("prefix_ties merged tie states")
+
+    shapes = ((5, 3), (5, 4), (6, 5))
+    blocks = [(n, k, canonical_form(_circulant(n, (0,))).rows()[:k]) for n, k in shapes]
+    monkeypatch.setattr(canonical, "_level_search", recording)
+    monkeypatch.setattr(canonical, "_merge_ties", merge)
+    for n, k, rows in blocks:
+        recorded.clear()
+        prefix_ties(rows, n, key_big(2))
+        assert recorded == [[math.perm(k, d) for d in range(k)] + [math.factorial(k)]]
 
 
 # -- orbit equivalence -----------------------------------------------------

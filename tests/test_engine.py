@@ -788,6 +788,19 @@ def test_resume_requires_checkpoint_path():
         enumerate_classes(ClassQuery(2, 3, 3), resume=True)
 
 
+def test_resume_checks_the_file_before_stage_one_can_stop(tmp_path):
+    # node_limit=1 stops stage 1 at its first node, so these checks must come first
+    q = ClassQuery(4, 3, 3, node_limit=1)
+    with pytest.raises(CheckpointError):
+        enumerate_classes(q, resume=True)
+    with pytest.raises(FileNotFoundError):
+        enumerate_classes(q, checkpoint_path=str(tmp_path / "missing.ckpt"), resume=True)
+    other = str(tmp_path / "other.ckpt")
+    enumerate_classes(ClassQuery(2, 3, 3), checkpoint_path=other)
+    with pytest.raises(CheckpointError, match="different query"):
+        enumerate_classes(q, checkpoint_path=other, resume=True)
+
+
 def test_n1_is_one_work_unit(tmp_path):
     # the empty prefix is n = 1's single unit: journaled and resumed like any other
     path, fresh_path = tmp_path / "one.ckpt", tmp_path / "fresh.ckpt"
