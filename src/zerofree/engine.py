@@ -27,6 +27,12 @@ determinant of every completion is computed straight off the sorted slice of
 candidate rows, then inverse column n-2 filters the unimodular completions,
 and only its survivors get the full inverse.
 
+A prefix carries its minor ladder: ladder[i] holds the i-column minors of
+its first i rows, one per column subset in itertools.combinations order.
+Every minor, determinant and cofactor the engine computes is a generalized
+Laplace expansion of a stacked block, and every expansion's terms and signs
+come from one table, _laplace.
+
 A search with no beta cap is value-only (the largest inverse entry).  It
 tests canonicality on prefixes only: duplicates cannot change a maximum, so
 each final-depth batch is reduced to its largest beta and the leaves
@@ -101,10 +107,13 @@ class CheckpointError(ValueError):
 
 
 def default_thread_budget() -> int:
-    try:
-        return max(1, int(os.environ.get(_ENV_THREADS, "1")))
-    except ValueError:
+    """The worker count ZEROFREE_THREADS sets: 1 when it is unset or empty."""
+    value = os.environ.get(_ENV_THREADS, "").strip()
+    if not value:
         return 1
+    if not value.isdecimal() or int(value) < 1:
+        raise ValueError(f"{_ENV_THREADS} must be a positive integer, not {value!r}")
+    return int(value)
 
 
 def _check_search_regime(
@@ -354,42 +363,42 @@ def _space(n: int, alpha: int, zeros_allowed: bool, positive_only: bool):
     return rows, keys, pack_keys(keys, big), rowmin
 
 
-@lru_cache(maxsize=64)
-def _ext_table(n: int, k: int):
-    """Laplace data to grow k-column minors into (k+1)-column minors.
+@lru_cache(maxsize=128)
+def _laplace(n: int, a: int, b: int):
+    """The generalized Laplace expansion of an a-row block stacked on a
+    b-row block, over the column subsets of range(n).
 
-    One entry per term: the new row's column, the (k+1)-subset, the parent
-    k-subset and the sign (-1)^j of expanding along a row added at the top,
-    j being the column's position in the subset.
+    Returns arrays (top, bottom, full, sign), one element per term: each
+    (a+b)-column minor of the stacked block, index `full`, is the sum of
+    sign * (a-column minor `top` of the top block) * (b-column minor
+    `bottom` of the bottom block) over its terms.  A subset's index is its
+    place in itertools.combinations order.  The sign is the shuffle sign
+    (-1)^(sum of the positions of the top's columns in the full subset
+    - a(a-1)/2).  No (full, top) or (full, bottom) pair repeats.
     """
-    parents = {T: i for i, T in enumerate(itertools.combinations(range(n), k))}
-    cols, tpos, pidx, sgn = [], [], [], []
-    t = -1
-    for t, T in enumerate(itertools.combinations(range(n), k + 1)):
-        for j, c in enumerate(T):
-            cols.append(c)
-            tpos.append(t)
-            pidx.append(parents[T[:j] + T[j + 1 :]])
-            sgn.append(-1 if j % 2 else 1)
-    return (
-        np.array(cols),
-        np.array(tpos),
-        np.array(pidx),
-        np.array(sgn, dtype=np.int64),
-        t + 1,
-    )
+    index = {
+        size: {T: t for t, T in enumerate(itertools.combinations(range(n), size))}
+        for size in (a, b)
+    }
+    terms = []
+    for full, cols in enumerate(itertools.combinations(range(n), a + b)):
+        for pos in itertools.combinations(range(a + b), a):
+            top = tuple(cols[p] for p in pos)
+            bottom = tuple(c for c in cols if c not in top)
+            shuffle = sum(pos) - a * (a - 1) // 2
+            terms.append((index[a][top], index[b][bottom], full, -1 if shuffle % 2 else 1))
+    return tuple(np.array(column, dtype=np.int64) for column in zip(*terms))
 
 
 def _grow_minors(n: int, k: int, minors: np.ndarray, rows_arr: np.ndarray) -> np.ndarray:
     """Minors of all (k+1)-column subsets for every candidate next row.
 
-    Laplace expansion along the appended row, (-1)^k times the expansion
-    along a top row: each (k+1)-column minor is a signed combination of the
-    parent k-column minors.
+    Each (k+1)-column minor is a signed combination of the parent k-column
+    minors, one term per column of the appended row.
     """
-    cols, tpos, pidx, sgn, s_next = _ext_table(n, k)
-    w = np.zeros((n, s_next), dtype=np.int64)
-    w[cols, tpos] = (sgn if k % 2 == 0 else -sgn) * minors[pidx]
+    top, bottom, full, sign = _laplace(n, k, 1)
+    w = np.zeros((n, comb(n, k + 1)), dtype=np.int64)
+    w[bottom, full] = sign * minors[top]
     return rows_arr @ w
 
 
@@ -402,47 +411,23 @@ def _jacobi_cap(n: int, depth: int, alpha: int, beta_cap: int | None) -> int | N
     return bound if bound < natural else None
 
 
-@lru_cache(maxsize=16)
-def _cofactor_tables(n: int):
-    """Index arrays assembling the cofactors of row i from block minors.
+@lru_cache(maxsize=64)
+def _cofactor_terms(n: int, i: int):
+    """_laplace terms for the cofactors of row i, as (top, bottom, j, sign).
 
-    Deleting row i and column j splits the remaining rows into the block
-    above row i and the block below it; a generalized Laplace expansion by
-    the top block expresses the cofactor through i-column minors of the top
-    and (n-1-i)-column minors of the bottom.  Entry i is the arrays
-    (bottom, j, top, sign), one element per term; no (bottom, j) pair
-    repeats, so each cofactor matrix is one fancy-index assignment.
+    Deleting row i and column j leaves the i rows above row i stacked on
+    the n-1-i rows below it, over the columns other than j: the (n-1)-subset
+    with index n-1-j.  Its expansion, times (-1)^(i+j), is cofactor (i, j).
     """
-    comb_index = {
-        size: {T: t for t, T in enumerate(itertools.combinations(range(n), size))}
-        for size in range(n)
-    }
-    tables = []
-    for i in range(n):
-        terms = []
-        for j in range(n):
-            cols = [c for c in range(n) if c != j]
-            pos = {c: p for p, c in enumerate(cols)}
-            for s_cols in itertools.combinations(cols, i):
-                s_set = set(s_cols)
-                comp = tuple(c for c in cols if c not in s_set)
-                sigma = sum(pos[c] for c in s_cols) + i * (i - 1) // 2 + i + j
-                terms.append(
-                    (
-                        comb_index[n - 1 - i][comp],
-                        j,
-                        comb_index[i][s_cols],
-                        -1 if sigma % 2 else 1,
-                    )
-                )
-        tables.append(tuple(np.array(col, dtype=np.int64) for col in zip(*terms)))
-    return tables
+    top, bottom, full, sign = _laplace(n, i, n - 1 - i)
+    j = n - 1 - full
+    return top, bottom, j, np.where((i + j) % 2, -sign, sign)
 
 
 def _cofactor_matrix(n: int, i: int, top_minors: np.ndarray) -> np.ndarray:
     """Maps the (n-1-i)-column minors of the rows below row i to the
     cofactors of row i, given the i-column minors of the rows above it."""
-    bottom, j, top, sign = _cofactor_tables(n)[i]
+    top, bottom, j, sign = _cofactor_terms(n, i)
     out = np.zeros((comb(n, n - 1 - i), n), dtype=np.int64)
     out[bottom, j] = sign * top_minors[top]
     return out
@@ -451,9 +436,9 @@ def _cofactor_matrix(n: int, i: int, top_minors: np.ndarray) -> np.ndarray:
 def _prepend_row(n: int, k: int, row) -> np.ndarray:
     """Maps the k-column minors of a block to the (k+1)-column minors of the
     block with `row` prepended."""
-    cols, tpos, pidx, sgn, s_next = _ext_table(n, k)
-    v = np.zeros((comb(n, k), s_next), dtype=np.int64)
-    v[pidx, tpos] = sgn * np.asarray(row, dtype=np.int64)[cols]
+    top, bottom, full, sign = _laplace(n, 1, k)
+    v = np.zeros((comb(n, k), comb(n, k + 1)), dtype=np.int64)
+    v[bottom, full] = sign * np.asarray(row, dtype=np.int64)[top]
     return v
 
 
@@ -461,7 +446,10 @@ def _prepend_row(n: int, k: int, row) -> np.ndarray:
 def _pair_minors(n: int) -> np.ndarray:
     """The 2-column minors of two rows (y, x) as a bilinear form: row
     a*n + b holds the coefficient of y[a]*x[b] in each minor."""
-    return np.concatenate([_prepend_row(n, 1, y) for y in np.eye(n, dtype=np.int64)])
+    top, bottom, full, sign = _laplace(n, 1, 1)
+    out = np.zeros((n * n, comb(n, 2)), dtype=np.int64)
+    out[top * n + bottom, full] = sign
+    return out
 
 
 def _cofactor_forms(n: int, rows, ladder, block: np.ndarray, top: int) -> np.ndarray:
@@ -818,9 +806,10 @@ def _run_search(
     the same fresh or resumed and for every worker count.  `map` reads a
     unit's budget when the loop asks for it; Executor.map reads every budget
     at submission.  A pool starts for two units or more, with at most one
-    worker a CPU.  Kept units are merged in unit order into (alpha, beta)
-    buckets.  `floor` starts a value-only search's running best; it is not
-    part of a checkpoint query, and only enumerations pass a checkpoint.
+    worker per CPU the process may run on.  Kept units are merged in unit
+    order into (alpha, beta) buckets.  `floor` starts a value-only search's
+    running best; it is not part of a checkpoint query, and only
+    enumerations pass a checkpoint.
     """
     if resume:
         # before stage 1, which may stop on the node limit first
@@ -855,7 +844,11 @@ def _run_search(
         return None if node_limit is None else node_limit - nodes
 
     def computed():
-        workers = min(thread_budget, len(todo), os.cpu_count() or 1)
+        if hasattr(os, "sched_getaffinity"):
+            cpus = len(os.sched_getaffinity(0))
+        else:
+            cpus = os.cpu_count() or 1
+        workers = min(thread_budget, len(todo), cpus)
         pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
         try:
             units, budgets = (prefixes[i] for i in todo), (budget_left() for _ in todo)

@@ -218,6 +218,30 @@ def test_verify_suite_with_nothing_to_check_is_a_usage_error(capsys, argv):
     assert err.startswith("error: --")
 
 
+@pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
+def test_invalid_thread_variable_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("ZEROFREE_THREADS", value)
+    code, out, err = run(capsys, "enumerate", "--n", "3", "--alpha", "3", "--beta", "5")
+    assert code == 2
+    assert out == ""
+    assert "ZEROFREE_THREADS" in err and repr(value) in err
+
+
+def test_empty_thread_variable_counts_as_unset(capsys, monkeypatch):
+    monkeypatch.setenv("ZEROFREE_THREADS", "")
+    code, out, _ = run(capsys, "enumerate", "--n", "2", "--alpha", "2", "--beta", "2")
+    assert code == 0
+    assert out.splitlines()[1:] == ["1 1 1 2"]
+
+
+def test_thread_variable_is_not_read_when_threads_is_given(capsys, monkeypatch):
+    monkeypatch.setenv("ZEROFREE_THREADS", "two")
+    code, _, _ = run(
+        capsys, "enumerate", "--n", "2", "--alpha", "2", "--beta", "2", "--threads", "1"
+    )
+    assert code == 0
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["enumerate", "--n", "2"])  # missing required arguments

@@ -563,8 +563,14 @@ def test_one_unit_starts_no_pool(monkeypatch):
     assert result.complete and result.total_count == 1
 
 
-@pytest.mark.parametrize("cpus, started", [(3, [3]), (None, [])])
-def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, cpus, started):
+@pytest.mark.parametrize(
+    "cpus, affinity, started",
+    [(3, None, [3]), (None, None, []), (3, {0}, []), (3, {0, 1}, [2])],
+    ids=["3-started0", "None-started1", "affinity1", "affinity2"],
+)
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, cpus, affinity, started):
+    # the cap is the CPUs the process may run on where os reports them,
+    # os.cpu_count() otherwise
     # a fake pool that runs each unit at submission, so no process starts
     pools = []
 
@@ -580,6 +586,10 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, cpus, started):
     serial = enumerate_classes(ClassQuery(3, 3, 5, thread_budget=1))
     monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialExecutor)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(engine.os, "sched_getaffinity", lambda pid: affinity, raising=False)
     capped = enumerate_classes(ClassQuery(3, 3, 5, thread_budget=1000))
     assert pools == started
     assert capped.nodes_explored == serial.nodes_explored
