@@ -22,10 +22,16 @@ duplicate set.  Candidate rows are scanned in structural order, which makes
 the output stream sorted by flattening and bit-identical across thread
 budgets and checkpoint splits.
 
-At the final depth the cheapest rejecting test runs first: the
-determinant of every completion is computed straight off the sorted slice of
-candidate rows, then inverse column n-2 filters the unimodular completions,
-and only its survivors get the full inverse.
+The last two rows of each prefix of n-2 rows are finished in one batch
+(_Generator._accept_batch).  det(prefix; y; x) = w_y . x, with w_y the
+cofactors of the last row, so one float64 product of the children's w_y
+with the contiguous slice of candidate rows gives every determinant.
+Inverse column n-2 holds the cofactors of y's row, minors of the prefix and
+x alone, so its zero and cap tests run once per x for all children, and only
+their survivors get the rest of the inverse.  A work unit that already
+holds n-1 rows (n <= 3) is the one child of its prefix.  Every product sums
+integers far below 2^53 (see _space), so float64 arithmetic is exact, and
+numpy's float64 products run in BLAS, which its int64 products do not.
 
 A prefix carries its minor ladder: ladder[i] holds the i-column minors of
 its first i rows, one per column subset in itertools.combinations order.
@@ -35,15 +41,16 @@ come from one table, _laplace.
 
 A search with no beta cap is value-only (the largest inverse entry).  It
 tests canonicality on prefixes only: duplicates cannot change a maximum, so
-each final-depth batch is reduced to its largest beta and the leaves
-attaining it, bucketed like enumeration leaves, and only the running best's
-bucket is kept; the winning leaf is tested at the end.  Value-only searches
-also branch and bound.  Below a prefix of n-2 rows, every inverse entry of
-a completion is linear in the last row x once the next row is fixed, so its
-largest magnitude over the box [-alpha, alpha]^n is alpha times the 1-norm
-of its coefficients (_beta_reach).  A child whose bound is strictly below
-the running best, which starts at a floor, is skipped; ties survive, so the
-answer and its witness do not change.
+the leaves of each child of a final-depth batch are reduced to their
+largest beta and the leaves attaining it, bucketed like enumeration leaves,
+and only the running best's bucket is kept; the winning leaf is tested at
+the end.  Value-only searches also branch and bound.  Below a prefix of
+n-2 rows, every inverse entry of a completion is linear in the last row x
+once the next row is fixed, so its largest magnitude over the box
+[-alpha, alpha]^n is alpha times the 1-norm of its coefficients
+(_beta_reach).  A child whose bound is strictly below the running best,
+which starts at a floor, is skipped; ties survive, so the answer and its
+witness do not change.
 
 The structural order of candidate rows is the zero-first order of
 canonical.entry_key, at the width the entry bound alpha needs; see the
@@ -88,6 +95,7 @@ from .matrix import ClassStats, IntMatrix, RegimeError
 MAX_SEARCH_DIM = 7
 MAX_SEARCH_ALPHA = 64
 _MAX_SPACE = 5_000_000  # candidate rows per level; positions beyond this are hopeless anyway
+_CELLS = 1 << 15  # (child, last row) pairs per final-depth determinant product
 
 CHECKPOINT_VERSION = 2
 
@@ -327,11 +335,16 @@ def load_checkpoint(path: str) -> SearchCheckpoint:
 def _space(n: int, alpha: int, zeros_allowed: bool, positive_only: bool):
     """All candidate rows for one search, sorted in structural order.
 
-    Returns (rows, keys, packed, rowmin): the rows, their entry keys at the
-    width alpha needs, each row's keys read as one number (its structural
-    rank), and rowmin[i], which packs the sorted magnitudes of row i, the
-    least image of that row under column moves.  A canonical matrix's first
-    row packs to at most the rowmin of each of its rows.
+    Returns (cols, keys, packed, rowmin): the rows as the columns of a
+    float64 array, the operand of every minor product, their entry keys at
+    the width alpha needs, each row's keys read as one number (its
+    structural rank), and rowmin[i], which packs the sorted magnitudes of
+    row i, the least image of that row under column moves.  A canonical
+    matrix's first row packs to at most the rowmin of each of its rows.
+    Every product of the search is a Laplace expansion of a minor of at
+    most n rows of entries within alpha, so its terms sum to at most
+    n! * alpha^n in magnitude, below 2^53 for every admitted space: float64
+    arithmetic is exact.
     """
     values = list(range(1, alpha + 1))
     if zeros_allowed:
@@ -342,25 +355,24 @@ def _space(n: int, alpha: int, zeros_allowed: bool, positive_only: bool):
         raise RegimeError(
             f"candidate space {len(values)}^{n} is too large to enumerate"
         )
-    if factorial(n) * alpha**n > 2**62:
-        raise RegimeError("determinant bound would overflow 64-bit arithmetic")
     # every row over `values`, column 0 varying slowest: `values` is listed
     # in ascending key order, so the rows come out in structural order
     k = len(values)
-    rows = np.empty((k**n, n), dtype=np.int64)
+    cols = np.empty((n, k**n))
     for c in range(n):
-        rows[:, c] = np.tile(np.repeat(values, k ** (n - 1 - c)), k**c)
+        cols[c] = np.tile(np.repeat(values, k ** (n - 1 - c)), k**c)
     # a magnitude is its own key; one sorted copy is the only n-wide temporary
     big = key_big(alpha)
-    mags = np.abs(rows)
+    mags = cols.T.astype(np.int64, order="C")
+    np.abs(mags, out=mags)
     mags.sort(axis=1)
     rowmin = pack_keys(mags, big)
     del mags
-    # the keys are built one column at a time, so the only temporaries are columns
-    keys = np.empty_like(rows)
+    # the keys are built one column at a time; a key is below 2 * big <= 256
+    keys = np.empty((k**n, n), dtype=np.int16)
     for c in range(n):
-        keys[:, c] = entry_key(rows[:, c], big)
-    return rows, keys, pack_keys(keys, big), rowmin
+        keys[:, c] = entry_key(cols[c], big)
+    return cols, keys, pack_keys(keys, big), rowmin
 
 
 @lru_cache(maxsize=128)
@@ -390,16 +402,17 @@ def _laplace(n: int, a: int, b: int):
     return tuple(np.array(column, dtype=np.int64) for column in zip(*terms))
 
 
-def _grow_minors(n: int, k: int, minors: np.ndarray, rows_arr: np.ndarray) -> np.ndarray:
-    """Minors of all (k+1)-column subsets for every candidate next row.
+def _grow_minors(n: int, k: int, minors: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Minors of all (k+1)-column subsets for every candidate next row, one
+    row of the result per subset; `cols` holds the candidates as columns.
 
     Each (k+1)-column minor is a signed combination of the parent k-column
     minors, one term per column of the appended row.
     """
     top, bottom, full, sign = _laplace(n, k, 1)
-    w = np.zeros((n, comb(n, k + 1)), dtype=np.int64)
-    w[bottom, full] = sign * minors[top]
-    return rows_arr @ w
+    w = np.zeros((comb(n, k + 1), n), dtype=np.int64)
+    w[full, bottom] = sign * minors[top]
+    return w @ cols
 
 
 def _jacobi_cap(n: int, depth: int, alpha: int, beta_cap: int | None) -> int | None:
@@ -452,19 +465,20 @@ def _pair_minors(n: int) -> np.ndarray:
     return out
 
 
-def _cofactor_forms(n: int, rows, ladder, block: np.ndarray, top: int) -> np.ndarray:
-    """Linear forms onto the cofactors of rows 0..top of an n x n matrix.
+def _pair_forms(n: int, rows, ladder) -> np.ndarray:
+    """Bilinear forms of the cofactors of rows 0..n-3 of rows + [y] + [x].
 
-    `rows` holds the matrix's leading rows, with minor ladder `ladder`, and
-    `block` maps some input onto the (n-1-top)-column minors of rows
-    top+1..n-1.  Pushed up one prefix row at a time, the block gives the
-    minors of the rows below each row i, which _cofactor_matrix turns into
-    the cofactors of row i.  Column i*n + j of the result maps the input
-    onto cofactor j of row i, which is inverse entry (j, i) times det.
+    `rows` holds n-2 rows with minor ladder `ladder`.  Row a*n + b of the
+    result holds the coefficients of y[a]*x[b].  The 2-column minors of
+    (y, x), pushed up one prefix row at a time, give the minors of the rows
+    below each row i, which _cofactor_matrix turns into the cofactors of
+    row i.  Column i*n + j is cofactor j of row i, which is inverse entry
+    (j, i) times det.
     """
-    forms = np.empty((len(block), n * (top + 1)), dtype=np.int64)
-    for i in range(top, -1, -1):
-        if i < top:
+    block = _pair_minors(n)
+    forms = np.empty((n * n, n * (n - 2)), dtype=np.int64)
+    for i in range(n - 3, -1, -1):
+        if i < n - 3:
             block = block @ _prepend_row(n, n - 2 - i, rows[i + 1])
         forms[:, i * n : (i + 1) * n] = block @ _cofactor_matrix(n, i, ladder[i])
     return forms
@@ -477,15 +491,14 @@ def _beta_reach(alpha: int, rows, ladder, cand: np.ndarray, grown: np.ndarray) -
     `rows` holds n-2 rows with minor ladder `ladder`, and `grown` holds each
     child's (n-1)-column minors.  Inverse column n-1 is those minors, up to
     sign.  Column n-2 is linear in x, with coefficients shared by every
-    child.  Columns 0..n-3 are bilinear in (y, x): the 2-column minors of
-    (y, x) pushed up through the prefix rows by _cofactor_forms, as
-    _accept_leaves pushes up its last row; one product of `cand` with an
+    child.  Columns 0..n-3 are bilinear in (y, x) (_pair_forms, which the
+    final depth assembles the inverse with); one product of `cand` with an
     n x n*n*(n-2) matrix gives every child's coefficients of x.  The largest
     |c . x| over the box is alpha * ||c||_1.
     """
     m, n = cand.shape
     shared = alpha * np.abs(_cofactor_matrix(n, n - 2, ladder[n - 2])).sum(axis=0).max()
-    forms = _cofactor_forms(n, rows, ladder, _pair_minors(n), n - 3)
+    forms = _pair_forms(n, rows, ladder)
     forms = forms.reshape(n, n, -1).transpose(0, 2, 1)  # [y column, cofactor, x column]
     coef = np.abs(cand @ forms.reshape(n, -1)).reshape(m, n * (n - 2), n)
     bilinear = alpha * coef.sum(axis=2).max(axis=1, initial=0)
@@ -534,7 +547,7 @@ class _Generator:
     def __init__(self, params: _SearchParams, floor: int = 0, budget: int | None = None):
         self.p = params
         self.n = params.n
-        self.rows_arr, self.keys_arr, self.packed, self.rowmin = _space(*params.space_key())
+        self.cols, self.keys_arr, self.packed, self.rowmin = _space(*params.space_key())
         self.big = key_big(params.alpha)
         self.nodes = 0
         self.budget = budget
@@ -548,13 +561,15 @@ class _Generator:
         `rows` computed once; a child whose verdict is open takes the scalar
         test.
         """
-        if not len(cand):
-            return np.zeros(0, dtype=bool)
         beaten, open_ = children_verdicts(prefix_ties(rows, self.n, self.big), cand, self.big)
         ok = ~(beaten | open_)
         for pos in np.flatnonzero(open_):
             ok[pos] = minimize_rows(rows + [tuple(cand[pos].tolist())], self.n, True) is not None
         return ok
+
+    def _rows(self, idx) -> np.ndarray:
+        """Rows idx of the space, as integers."""
+        return self.cols[:, idx].T.astype(np.int64)
 
     def _spend(self, count: int = 1):
         if self.budget is not None and self.nodes + count > self.budget:
@@ -562,19 +577,16 @@ class _Generator:
         self.nodes += count
 
     def _candidates(self, rows, minors: np.ndarray, base_mask, start: int):
-        """Vectorized filters; returns (indices, minors per candidate).
+        """Vectorized filters below an interior prefix; returns (indices,
+        minors per candidate).
 
         Rows of a canonical matrix are structurally nondecreasing (swapping
         two adjacent rows is a group move), so the scan starts at the
         previous row, index `start` of the sorted space.  Columns that agree
-        on every filled row must stay in structural order.
-
-        At the final depth the one grown minor is the determinant.  It is
-        computed for the whole contiguous slice of the sorted space, which is
-        cheaper than gathering the rows that pass the mask first, and
-        |det| = 1 joins the mask.  Interior depths gather first: their gcd
-        and cap tests run on many columns and would be wasted on masked-out
-        rows.
+        on every filled row must stay in structural order.  The rows that
+        pass these masks are gathered, and their minors come from one
+        (subsets x rows) float64 product, so the gcd, cap and zero tests
+        each fold across whole contiguous rows of it.
         """
         n = self.n
         depth = len(rows)
@@ -583,81 +595,126 @@ class _Generator:
         for c in range(len(cols) - 1):
             if cols[c] == cols[c + 1]:
                 mask &= self.keys_arr[start:, c] <= self.keys_arr[start:, c + 1]
-        if depth + 1 == n:
-            dets = _grow_minors(n, depth, minors, self.rows_arr[start:])
-            mask &= np.abs(dets[:, 0]) == 1
-            idx = np.flatnonzero(mask)
-            return idx + start, dets[idx]
-        idx = np.flatnonzero(mask)
-        if len(idx) == 0:
-            return idx, None
-        idx += start
-        grown = _grow_minors(n, depth, minors, self.rows_arr[idx])
-        absg = np.abs(grown)
-        keep = np.gcd.reduce(absg, axis=1) == 1
+        idx = np.flatnonzero(mask) + start
+        grown = _grow_minors(n, depth, minors, self.cols[:, idx]).astype(np.int64)
+        size = np.abs(grown)
+        keep = np.gcd.reduce(size, axis=0) == 1
         cap = _jacobi_cap(n, depth + 1, self.p.alpha, self.p.beta_cap)
         if cap is not None:
-            keep &= absg.max(axis=1) <= cap
+            keep &= size.max(axis=0) <= cap
         if depth + 1 == n - 1 and self.p.require_zerofree:
             # these minors are the last inverse column, up to signs
-            keep &= absg.min(axis=1) > 0
-        return idx[keep], grown[keep]
+            keep &= size.min(axis=0) > 0
+        return idx[keep], grown[:, keep].T
 
     def _leaf_keep(self, absinv: np.ndarray) -> np.ndarray:
-        """Which rows of inverse magnitudes pass the zero and beta-cap tests."""
-        keep = np.ones(len(absinv), dtype=bool)
+        """Which columns of inverse magnitudes (entries x leaves) pass the
+        zero and beta-cap tests."""
+        keep = np.ones(absinv.shape[1], dtype=bool)
         if self.p.require_zerofree:
-            keep &= absinv.min(axis=1) > 0
+            keep &= absinv.min(axis=0) > 0
         if self.p.beta_cap is not None:
-            keep &= absinv.max(axis=1) <= self.p.beta_cap
+            keep &= absinv.max(axis=0) <= self.p.beta_cap
         return keep
 
-    def _accept_batch(self, rows, ladder, idx, dets):
-        """Final-depth acceptance for a whole candidate batch.
+    def _unimodular(self, rows, ys, idx, w, base_mask):
+        """The last rows x that complete rows + [y] to a unimodular matrix in
+        scan order, for each child y: row c of `ys`, at index idx[c] of the
+        space, with last-row cofactors w[c].
 
-        `idx` indexes the batch's rows in the space and `dets` holds their
-        determinants, all +-1.  The cheapest rejecting work runs first.
-        Inverse column n-1 is the prefix's own minors, which _candidates has
-        already checked.  Column n-2 is one product of the candidates with
-        an n x n matrix built from the prefix.  When the search filters
-        leaves (zerofree or a beta cap), that column is tested first and
-        the batch is compacted to its survivors; the full inverse is then
-        assembled for those only.
+        Returns (mask, dets), one row per child, over the space from idx[0]
+        on.  As in _candidates, x comes at or after y, passes `base_mask`,
+        and keeps the columns that agree on rows + [y] in structural order.
+        det(rows; y; x) = w_y . x, so one float64 product gives every
+        determinant.
         """
-        n = self.n
-        cand = self.rows_arr[idx]
-        if n > 1 and (self.p.require_zerofree or self.p.beta_cap is not None):
-            keep = self._leaf_keep(np.abs(cand @ _cofactor_matrix(n, n - 2, ladder[n - 2])))
-            if not keep.any():
-                return
-            cand, dets = cand[keep], dets[keep]
-        self._accept_leaves(rows, ladder, cand, dets)
+        start = int(idx[0])
+        dets = w @ self.cols[:, start:]
+        good = (dets == 1) | (dets == -1)
+        good &= base_mask[start:]
+        for k, i in enumerate(idx - start):
+            good[k, :i] = False
+        keys = self.keys_arr[start:]
+        for c in range(self.n - 1):
+            if all(r[c] == r[c + 1] for r in rows):
+                good[ys[:, c] == ys[:, c + 1]] &= keys[:, c] <= keys[:, c + 1]
+        return good, dets
 
-    def _accept_leaves(self, rows, ladder, cand, dets):
-        """Assemble the inverse of every completion of `rows` by a row of
-        `cand`, filter the leaves and record the kept ones.
-
-        Every candidate shares the same first n-1 rows, so the inverses are
-        assembled for all of them at once.  The cofactors of the last row
-        are the prefix's own (n-1)-column minors, the same for every
-        candidate.  Those of each other row are linear in the last row: the
-        identity pushed up through the prefix by _cofactor_forms gives their
-        forms, and one product with the batch gives inverse columns 0..n-2.
-        The determinants are +-1, so the inverse is kept up to their sign:
-        every test and every stored beta reads its magnitudes.
+    def _shared_column(self, rows, ladder, start: int):
+        """Inverse column n-2 of rows + [y] + [x], for every x of the space
+        from `start` on: its largest magnitude, and whether it passes the
+        leaf filters.  The column holds the cofactors of y's row, minors of
+        `rows` and x alone, so every child y shares it.  It is built one
+        entry at a time; n = 1 has no such column, and ones change no test
+        and no beta.
         """
-        n = self.n
-        forms = _cofactor_forms(n, rows, ladder, np.eye(n, dtype=np.int64), n - 2)
-        inv = np.empty((len(cand), n * n), dtype=np.int64)  # column after column
-        inv[:, : n * (n - 1)] = cand @ forms
-        inv[:, n * (n - 1) :] = _cofactor_matrix(n, n - 1, ladder[n - 1])
-        absinv = np.abs(inv)
-        keep = self._leaf_keep(absinv)
-        betas = absinv.max(axis=1)
+        n, space = self.n, self.cols[:, start:]
+        size, keep = np.ones(space.shape[1]), np.ones(space.shape[1], dtype=bool)
+        if n > 1:
+            size[:] = 0
+            for col in _cofactor_matrix(n, n - 2, ladder[n - 2]).T:
+                entry = np.abs(col @ space)
+                keep &= self._leaf_keep(entry[None])
+                np.maximum(size, entry, out=size)
+        return size, keep
+
+    def _accept_batch(self, rows, ladder, idx, grown, base_mask, reach=None):
+        """Finish the search below the canonical children of one prefix.
+
+        `rows` holds n-2 rows with minor ladder `ladder`; child c is row
+        idx[c] of the space, with (n-1)-column minors grown[c] and, in a
+        value-only search, beta bound reach[c].  A work unit that already
+        holds n-1 rows (n <= 3) is the one child of its prefix: `rows` is
+        the unit and idx holds its last row (0 for n = 1).
+
+        The determinants come from _unimodular, in chunks of about _CELLS
+        (child, x) pairs, and nodes are spent child by child in search
+        order.  Inverse column n-1 is the cofactors w_y of the last row,
+        which _candidates has tested, and column n-2 is _shared_column.
+        The other columns are bilinear in (y, x) (_pair_forms) and are
+        assembled for the survivors only.  The determinants are +-1, so
+        every test and every stored beta reads inverse magnitudes.
+        """
+        n, ys, start = self.n, self._rows(idx), int(idx[0])
+        heads = [rows] if len(rows) == n - 1 else [rows + [tuple(y)] for y in ys.tolist()]
+        top, _, j, sign = _cofactor_terms(n, n - 1)
+        w = np.zeros((len(idx), n))
+        w[:, j] = sign * grown[:, top]
+        mid, mid_keep = self._shared_column(rows, ladder, start)
+        forms = _pair_forms(n, rows, ladder).T if n > 1 else np.zeros((0, 1))
+        space = self.cols[:, start:]
+        step = max(1, _CELLS // space.shape[1])
+        for c0 in range(0, len(idx), step):
+            kids = slice(c0, c0 + step)
+            good, dets = self._unimodular(rows, ys[kids], idx[kids], w[kids], base_mask)
+            lo = int(idx[c0]) - start
+            nodes = np.count_nonzero(good, axis=1)
+            child, xs = np.nonzero(good & mid_keep[lo:])
+            dets, xs, child = dets[child, xs], xs + lo, child + c0
+            pairs = (ys.T[:, None, child] * space[None, :, xs]).reshape(n * n, -1)
+            absinv = np.concatenate([np.abs(forms @ pairs), mid[None, xs], np.abs(w.T[:, child])])
+            keep, betas = self._leaf_keep(absinv), absinv.max(axis=0).astype(np.int64)
+            for k in range(c0, c0 + len(nodes)):
+                if reach is None or reach[k] >= self.best_beta:
+                    self._spend(int(nodes[k - c0]))
+                    sel = keep & (child == k)
+                    if sel.any():
+                        self._record(heads[k], xs[sel] + start, dets[sel], betas[sel])
+
+    def _record(self, rows, xs: np.ndarray, dets, betas: np.ndarray):
+        """Record the kept completions of the n-1 rows `rows` by the rows xs
+        of the space, which passed the leaf filters with determinants `dets`
+        and largest inverse magnitudes `betas`.
+
+        An enumeration keeps the canonical leaves.  A value-only search keeps
+        the leaves that attain alpha and their largest beta, unless it is
+        below the running best.
+        """
+        cand = self._rows(xs)
         prefix = [x for row in rows for x in row]
         attained = np.maximum(np.abs(cand).max(axis=1), max(map(abs, prefix), default=0))
         if self.p.beta_cap is None:
-            keep &= attained == self.p.alpha
+            keep = attained == self.p.alpha
             if not keep.any():
                 return
             beta = int(betas[keep].max())
@@ -667,8 +724,7 @@ class _Generator:
                 self.best_beta, self.found = beta, {}
             kept = np.flatnonzero(keep & (betas == beta))
         else:
-            kept = np.flatnonzero(keep)
-            kept = kept[self._canonical_children(rows, cand[kept])]
+            kept = np.flatnonzero(self._canonical_children(rows, cand))
         for pos in kept:
             entries = tuple(prefix + cand[pos].tolist())
             self.found.setdefault((int(attained[pos]), int(betas[pos])), []).append(
@@ -699,24 +755,30 @@ class _Generator:
         if len(rows) == stop_depth:
             sink((rows, ladder, first, last))
             return
+        n = self.n
+        if len(rows) + 1 == n:  # a unit of n-1 rows is the one child of its prefix
+            self._accept_batch(rows, ladder, np.array([last]), ladder[-1][None], base_mask)
+            return
         idx, grown = self._candidates(rows, ladder[-1], base_mask, last)
         if not len(idx):
             return
-        n = self.n
-        if len(rows) + 1 == n:
-            self._spend(len(idx))
-            self._accept_batch(rows, ladder, idx, grown[:, 0])
-            return
-        cand = self.rows_arr[idx]
-        canonical = self._canonical_children(rows, cand)
+        cand = self._rows(idx)
+        ok = self._canonical_children(rows, cand)
         reach = None
         if self.p.beta_cap is None and len(rows) + 2 == n:
             reach = _beta_reach(self.p.alpha, rows, ladder, cand, grown)
+            ok &= reach >= self.best_beta
+        if len(rows) + 2 == n < stop_depth:  # stage 2 finishes both last rows at once
+            self._spend(len(idx))
+            if ok.any():
+                reach = None if reach is None else reach[ok]
+                self._accept_batch(rows, ladder, idx[ok], grown[ok], base_mask, reach)
+            return
+        # a reach bound here is stage 1's, which records no leaves: the
+        # running best is still the floor that `ok` was tested against
         for pos, row in enumerate(cand.tolist()):
             self._spend()
-            if not canonical[pos]:
-                continue
-            if reach is not None and reach[pos] < self.best_beta:
+            if not ok[pos]:
                 continue
             i = int(idx[pos])
             if not rows:  # row i becomes the first row

@@ -4,6 +4,8 @@ import hashlib
 import itertools
 import json
 from concurrent.futures import Executor, Future
+from dataclasses import replace
+from math import factorial
 
 import numpy as np
 import pytest
@@ -11,6 +13,8 @@ import pytest
 from zerofree import engine
 from zerofree.canonical import canonical_form, entry_key, flatten_key, inverse_class
 from zerofree.engine import (
+    MAX_SEARCH_ALPHA,
+    MAX_SEARCH_DIM,
     CheckpointError,
     ClassQuery,
     IncompleteSearchError,
@@ -434,7 +438,9 @@ def test_infeasible_regimes_rejected():
 @pytest.mark.parametrize("n", range(1, 8))
 def test_space_rows_follow_the_zero_first_order(n, alpha, zeros):
     # uncached: the n = 7 spaces are large
-    rows, _, packed = _space.__wrapped__(n, alpha, zeros, False)[:3]
+    cols, _, packed = _space.__wrapped__(n, alpha, zeros, False)[:3]
+    rows = cols.T.astype(np.int64)
+    assert (rows == cols.T).all()
     order = ([0] if zeros else []) + list(range(1, alpha + 1)) + list(range(-1, -alpha - 1, -1))
     rank_of = np.full(2 * alpha + 1, -1)
     rank_of[np.array(order) + alpha] = np.arange(len(order))
@@ -458,12 +464,12 @@ def _keys(row):
     return [entry_key(x) for x in row]
 
 
-def _final_depth_reference(p: _SearchParams, value_only: bool, space, rows):
+def _final_depth_reference(p: _SearchParams, space, rows):
     """Below one (n-1)-row prefix: the batch of unimodular completions with
     their determinants, the survivors of the inverse column n-2 test, and
-    what the search keeps: the canonical leaves, or for a value-only search
-    every leaf attaining the batch's best beta.  Each completion goes
-    through matrix.det and adjugate_inverse on its own."""
+    the leaves that pass every filter as (matrix, det, beta).  `space`
+    lists every row with its entry keys and sorted magnitudes.  Each
+    completion goes through matrix.det and adjugate_inverse on its own."""
     n = p.n
     equal_cols = [c for c in range(n - 1) if all(r[c] == r[c + 1] for r in rows)]
 
@@ -473,11 +479,11 @@ def _final_depth_reference(p: _SearchParams, value_only: bool, space, rows):
         )
 
     batch, survivors, leaves = [], [], []
-    for row in space:
+    for row, keys, mags in space:
         if (
-            _keys(row) < _keys(rows[-1])  # rows of a canonical matrix never decrease
-            or sorted(map(abs, row)) < _keys(rows[0])  # no row can move before the first
-            or any(entry_key(row[c]) > entry_key(row[c + 1]) for c in equal_cols)
+            keys < _keys(rows[-1])  # rows of a canonical matrix never decrease
+            or mags < _keys(rows[0])  # no row can move before the first
+            or any(keys[c] > keys[c + 1] for c in equal_cols)
         ):
             continue
         m = IntMatrix.from_rows(rows + [row])
@@ -492,6 +498,13 @@ def _final_depth_reference(p: _SearchParams, value_only: bool, space, rows):
         if fails(absinv):
             continue
         leaves.append((m, d, max(absinv)))
+    return batch, survivors, leaves
+
+
+def _found_reference(p: _SearchParams, value_only: bool, leaves):
+    """What the search keeps of the leaves of one batch, in search order:
+    the canonical ones, or for a value-only search every leaf attaining
+    alpha and the batch's best beta."""
     if value_only:
         attaining = [leaf for leaf in leaves if max(map(abs, leaf[0].entries)) == p.alpha]
         best = max((beta for _, _, beta in attaining), default=0)
@@ -501,26 +514,39 @@ def _final_depth_reference(p: _SearchParams, value_only: bool, space, rows):
         if value_only or canonical_form(m) == m:
             key = (max(map(abs, m.entries)), beta)
             found.setdefault(key, []).append((m.entries, min(m.entries) > 0, d))
-    return batch, survivors, found
+    return found
 
 
 def _final_depth_engine(p: _SearchParams, prefix):
-    """The same three things from the engine, recorded at its final-depth calls."""
+    """Run the search below `prefix` and record, for every child of its
+    final-depth batches, its n-1 rows, its unimodular completions with their
+    determinants (at _unimodular) and those whose inverse column n-2 passes
+    (from _shared_column).  Returns the children in search order and the
+    leaves the search keeps."""
     gen = _Generator(p)
-    batch, survivors = [], []
-    accept_batch, accept_leaves = gen._accept_batch, gen._accept_leaves
+    unimodular, shared_column = gen._unimodular, gen._shared_column
+    children, column = [], {}
 
-    def record_batch(rows, ladder, idx, dets):
-        batch.extend(zip(map(tuple, gen.rows_arr[idx].tolist()), dets.tolist()))
-        accept_batch(rows, ladder, idx, dets)
+    def record_column(rows, ladder, start):
+        size, keep = shared_column(rows, ladder, start)
+        column.update(start=start, keep=keep)
+        return size, keep
 
-    def record_leaves(rows, ladder, cand, dets):
-        survivors.extend(zip(map(tuple, cand.tolist()), dets.tolist()))
-        accept_leaves(rows, ladder, cand, dets)
+    def record_unimodular(rows, ys, idx, w, base_mask):
+        good, dets = unimodular(rows, ys, idx, w, base_mask)
+        start = int(idx[0])
+        for y, mask, row_dets in zip(ys.tolist(), good, dets):
+            head = rows + [tuple(y)] if len(rows) + 2 == p.n else rows
+            xs = np.flatnonzero(mask) + start
+            dets_x = row_dets[xs - start].astype(int).tolist()
+            batch = list(zip(map(tuple, gen._rows(xs).tolist()), dets_x))
+            passed = column["keep"][xs - column["start"]]
+            children.append((head, batch, [b for b, ok in zip(batch, passed) if ok]))
+        return good, dets
 
-    gen._accept_batch, gen._accept_leaves = record_batch, record_leaves
+    gen._unimodular, gen._shared_column = record_unimodular, record_column
     gen.run_subtree(*prefix)
-    return batch, survivors, gen.found
+    return children, gen.found
 
 
 @pytest.mark.parametrize(
@@ -538,19 +564,92 @@ def _final_depth_engine(p: _SearchParams, prefix):
 def test_final_depth_matches_leaves_computed_one_by_one(n, alpha, beta_cap, zeros, value_only):
     # a search with no beta cap is the value-only search
     p = _SearchParams(n, alpha, beta_cap, zeros, False, require_zerofree=not zeros)
-    prefixes = _Generator(p).run_prefixes(n - 1)
-    assert prefixes
     values = ([0] if zeros else []) + [v for a in range(1, alpha + 1) for v in (a, -a)]
-    space = sorted(itertools.product(values, repeat=n), key=_keys)
-    filtered = kept = 0
-    for prefix in prefixes[:: max(1, len(prefixes) // 40)]:
-        expected = _final_depth_reference(p, value_only, space, prefix[0])
-        assert _final_depth_engine(p, prefix) == expected
-        filtered += len(expected[0]) - len(expected[1])
-        kept += bool(expected[2])
+    space = [(r, _keys(r), sorted(map(abs, r))) for r in itertools.product(values, repeat=n)]
+    space.sort(key=lambda entry: entry[1])
+    # prefixes of n-1 rows are batches of one child; prefixes of n-2 rows
+    # batch every canonical child of the prefix
+    units = _Generator(p).run_prefixes(n - 1)
+    prefixes = _Generator(p).run_prefixes(n - 2)
+    assert units and prefixes
+    sample = units[:: max(1, len(units) // 40)]
+    sample += prefixes[1:2] + prefixes[:: max(1, len(prefixes) // 3)]
+    filtered = kept = widest = 0
+    for prefix in sample:
+        children, found = _final_depth_engine(p, prefix)
+        leaves = []
+        for head, batch, survivors in children:
+            expected = _final_depth_reference(p, space, head)
+            assert (batch, survivors) == expected[:2], head
+            filtered += len(batch) - len(survivors)
+            leaves += expected[2]
+        assert found == _found_reference(p, value_only, leaves)
+        kept += bool(found)
+        widest = max(widest, len(children))
     # the column n-2 test has something to reject exactly when leaves are filtered
     assert (filtered > 0) == (not zeros)
     assert kept
+    # some batch spans several children, and so several rows of one product
+    assert widest >= 5
+
+
+def test_float64_products_are_exact_on_every_admitted_space():
+    # Every product of the search is a Laplace expansion of a minor of at
+    # most n rows with entries within alpha, so its terms sum to at most
+    # n! * alpha^n in magnitude.  _space must reject every space above
+    # _MAX_SPACE rows, and every space it may admit keeps that sum below
+    # 2^53, where float64 sums of integers are exact.
+    worst = 0
+    for n in range(1, MAX_SEARCH_DIM + 1):
+        for alpha in range(1, MAX_SEARCH_ALPHA + 1):
+            for zeros, positive_only in itertools.product([False, True], repeat=2):
+                if ((1 if positive_only else 2) * alpha + zeros) ** n > engine._MAX_SPACE:
+                    with pytest.raises(RegimeError):
+                        _space.__wrapped__(n, alpha, zeros, positive_only)
+                else:
+                    worst = max(worst, factorial(n) * alpha**n)
+    assert worst == factorial(7) * 9**7  # n = 7, alpha = 9, positive entries only
+    assert worst < 2**53
+
+
+def test_first_two_units_of_the_5_3_3_table():
+    # the benchmark's slice_5x5 workload; the digest of its representatives
+    # was taken before the final depth was batched per prefix
+    result = enumerate_classes(ClassQuery(5, 3, 3, long_run=True), _stop_after_units=2)
+    assert (result.nodes_explored, result.total_count, result.positive_count) == (3_329_184, 57, 8)
+    assert not result.complete
+    assert all((c.stats.alpha, c.stats.beta) == (3, 3) for c in result.classes)
+    reps = json.dumps([list(c.rep.entries) for c in result.classes])
+    assert hashlib.sha256(reps.encode()).hexdigest() == (
+        "5eeb13dcb746714e308711dbc7b5f548314c8d1c0008f1ae8178f5b6b3f9100f"
+    )
+
+
+def _final_depth_outputs(threads: int):
+    """Class lists and nodes of searches that cross many final-depth chunks:
+    (4,3,3) whole and truncated, (5,2,2), and max-beta for n = 4."""
+    out = []
+    for q in [ClassQuery(4, 3, 3), ClassQuery(5, 2, 2, long_run=True)] + [
+        ClassQuery(4, 3, 3, node_limit=limit) for limit in (2400, 5000, 20000, 80031, 80032)
+    ]:
+        r = enumerate_classes(replace(q, thread_budget=threads))
+        out.append((r.nodes_explored, r.complete, [c.rep.entries for c in r.classes]))
+    for mode in ("zerofree", "unrestricted"):
+        r = max_beta_search(4, 2, mode, thread_budget=threads)
+        out.append((r.beta_max, r.witness.entries, r.nodes_explored))
+    return out
+
+
+@pytest.fixture(scope="module")
+def default_final_depth_outputs():
+    return _final_depth_outputs(1)
+
+
+@pytest.mark.parametrize("cells", [1, 1 << 40], ids=["one-child-a-chunk", "unbounded"])
+def test_outputs_do_not_depend_on_the_chunk_bound(monkeypatch, default_final_depth_outputs, cells):
+    monkeypatch.setattr(engine, "_CELLS", cells)
+    for threads in (1, 2):
+        assert _final_depth_outputs(threads) == default_final_depth_outputs
 
 
 def test_one_unit_starts_no_pool(monkeypatch):

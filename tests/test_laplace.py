@@ -39,8 +39,8 @@ def test_expansion_of_a_stacked_block_gives_its_minors(n):
             assert got.tolist() == expected.tolist(), (n, a, b)
             # the engine's three readers of the rule
             if b == 1:
-                grown = _grow_minors(n, a, top_m, bottom_rows)
-                assert grown[0].tolist() == expected.tolist(), (n, a)
+                grown = _grow_minors(n, a, top_m, bottom_rows.T)
+                assert grown[:, 0].tolist() == expected.tolist(), (n, a)
             if a == 1:
                 assert (bottom_m @ _prepend_row(n, b, top_rows[0])).tolist() == expected.tolist()
             if a == b == 1:

@@ -107,7 +107,7 @@ def test_symmetric_prefixes_take_the_scalar_fallback(monkeypatch):
                 for perm in itertools.permutations(range(n))
                 for signs in itertools.product((1, -1), repeat=n)
             }
-            space = _generator(n, alpha, zeros).rows_arr
+            space = _generator(n, alpha, zeros).cols.T.astype(np.int64)
             cand = np.array(sorted(moves) + space[:: len(space) // 200].tolist())
         open_, canonical = _check(n, alpha, zeros, rows, cand)
         opened += int(open_.sum())
