@@ -12,15 +12,15 @@ search; canonical_form_oracle recomputes it by brute force over the whole
 group and exists so the two routes can check each other.
 
 After each level the tie-set search keeps one state of each class of
-interchangeable states.  Two states are interchangeable when they use the
-same rows and a column bijection that keeps the profiles, with a sign for
-each unused row, carries one onto the other.  Every later placement in one
-is then matched by a placement in the other with the same image row, so the
-merge changes no level's minimum, and so not the result.  This spares
-symmetric inputs a search over their automorphisms; McKay and Piperno
-("Practical graph isomorphism, II", 2014) prune equivalent search nodes the
-same way.  prefix_ties is exempt: a child's new row is not among the
-block's rows, so states that agree on the block's unused rows may still
+interchangeable states.  Two states are interchangeable when a pairing of
+their unused rows, with a sign for each, and a column bijection that keeps
+the profiles carry the unused entries of one onto the other's.  Every later
+placement in one is then matched by a placement in the other with the same
+image row, so the merge changes no level's minimum, and so not the result.
+This spares symmetric inputs a search over their automorphisms; McKay and
+Piperno ("Practical graph isomorphism, II", 2014) prune equivalent search
+nodes the same way.  prefix_ties is exempt: a child's new row is not among
+the block's rows, so states that agree on the block's unused rows may still
 differ on it.
 
 The order is encoded once, by entry_key: 0 -> 0, x > 0 -> x and x < 0 ->
@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -210,7 +209,7 @@ def _level_search(rows, ncols, test, big, levels=None):
     mode compares each level's minimum with the block's own row.
 
     After each level, interchangeable states are merged (_merge_ties), so
-    2I+J keeps C(n, d) states after level d instead of n!/(n-d)!.  The
+    2I+J and J keep one state after each level instead of n!/(n-d)!.  The
     minima, and so the result, are the same as without the merge.  With
     `levels` nothing is merged: prefix_ties places rows that are not in
     the block after every state, and those placements can tell apart
@@ -284,29 +283,29 @@ def _level_search(rows, ncols, test, big, levels=None):
 def _merge_ties(states, rows):
     """One state of each class of interchangeable states; the first seen stays.
 
-    Two states that use the same rows are interchangeable when a column
-    bijection that keeps the profiles, with a sign for each unused row,
-    carries the unused entries of one onto the other's, each entry taken
-    with its column's resolved sign (u*x, or x where u = 0).  Placing row i
-    with sign s in one state then gives the same image row as placing it
-    with s times row i's sign in the other, and the two new states are
+    Two states are interchangeable when a pairing of their unused rows, with
+    a sign for each, and a column bijection that keeps the profiles carry
+    the unused entries of one onto the other's, each entry taken with its
+    column's resolved sign (u*x, or x where u = 0).  Placing row i with sign
+    s in one state then gives the same image row as placing its partner
+    with s times the pair's sign in the other, and the two new states are
     again interchangeable.  The key flips each unused row to a nonnegative
-    sum and sorts the columns as (profile, entries); equal keys give such a
-    bijection.  A profile is zero exactly while its column is unresolved.
+    sum, orders the rows by (profile, entry) multisets, which no column move
+    changes (ties keep index order), and sorts the columns as (profile,
+    entries); equal keys give both bijections, so the key can miss merges
+    but never makes a wrong one.  A profile is zero exactly while its column
+    is unresolved.
     """
-    shared = Counter(used for used, _, _ in states)
     kept = {}
     for state in states:
         used, profs, signs = state
-        if shared[used] == 1:
-            kept[used] = state
-            continue
         free = []
         for i, row in enumerate(rows):
             if not used >> i & 1:
                 e = [u * x if u else x for u, x in zip(signs, row)]
                 free.append(e if sum(e) >= 0 else [-x for x in e])
-        kept.setdefault((used, tuple(sorted(zip(profs, *free)))), state)
+        free.sort(key=lambda e: sorted(zip(profs, e)))
+        kept.setdefault(tuple(sorted(zip(profs, *free))), state)
     return list(kept.values())
 
 

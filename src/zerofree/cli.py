@@ -7,6 +7,7 @@ error, 3 search stopped by its node limit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import random
 import sys
 
@@ -95,17 +96,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_canon(args) -> int:
-    if args.input:
-        with open(args.input) as fh:
-            lines = fh.readlines()
-    else:
-        lines = sys.stdin.readlines()
-    try:
-        for _, m in iter_matrix_lines(lines, require_nonzero=True):
-            print(format_matrix_line(canonical_form(m)))
-    except (MatrixParseError, ZeroEntryError, RegimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    # one line at a time, so memory stays flat however long the input is
+    with open(args.input) if args.input else contextlib.nullcontext(sys.stdin) as lines:
+        try:
+            for _, m in iter_matrix_lines(lines, require_nonzero=True):
+                print(format_matrix_line(canonical_form(m)))
+        except (MatrixParseError, ZeroEntryError, RegimeError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_USAGE
     return EXIT_OK
 
 

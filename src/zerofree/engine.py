@@ -65,7 +65,6 @@ empty prefix is the one work unit.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 import json
 import os
@@ -290,6 +289,10 @@ class SearchCheckpoint:
 
 
 def _record_digest(index: int, payload: dict) -> str:
+    # imported here: hashlib loads OpenSSL (about 3.5 MB resident), which
+    # only searches that read or write a checkpoint need
+    import hashlib
+
     blob = json.dumps({"index": index, "payload": payload}, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 

@@ -270,24 +270,91 @@ def test_oracle_agreement_on_signed_images_of_symmetric_patterns_5x5():
         assert all(canonical_form(m) == expected for m in images)
 
 
-def test_merge_keeps_one_tie_state_per_used_row_set_on_2i_plus_j(monkeypatch):
-    # unmerged, 2I+J keeps n!/(n-d)! states after level d, one per arrangement
+def test_merge_keeps_one_tie_state_per_level_on_2i_plus_j_and_j(monkeypatch):
+    # unmerged, 2I+J and J keep n!/(n-d)! states after level d, one per
+    # arrangement; every such state is interchangeable with every other
     kept = []
     merge = canonical._merge_ties
 
     def counted(states, rows):
         out = merge(states, rows)
-        kept.append((out[0][0].bit_count(), len(out)))
+        kept.append(len(out))
         return out
 
     monkeypatch.setattr(canonical, "_merge_ties", counted)
     rng = random.Random(2019)
     for n in (6, 7):
-        kept.clear()
-        canonical_form(apply(GroupElement.random(n, rng), _circulant(n, (0,))))
-        assert [d for d, _ in kept] == list(range(1, n + 1))
-        assert all(count <= math.comb(n, d) for d, count in kept)
-        assert kept[-1] == (n, 1)
+        for offsets in ((0,), ()):
+            kept.clear()
+            canonical_form(apply(GroupElement.random(n, rng), _circulant(n, offsets)))
+            assert kept and set(kept) == {1}
+    # the Fano circulant: 7, 42 and 168 states unmerged after levels 0..2
+    kept.clear()
+    canonical_form(apply(GroupElement.random(7, rng), _circulant(7, (0, 1, 3))))
+    assert kept and max(kept) <= 7
+
+
+def _unmerged(states, rows):
+    return states
+
+
+def _random_block(n, k, rng, zeros):
+    values = [x for x in range(-3, 4) if x or zeros]
+    rows = []
+    while len(rows) < k:
+        row = tuple(rng.choice(values) for _ in range(n))
+        if any(row):
+            rows.append(row)
+    return rows
+
+
+def _symmetric_blocks(n, rng):
+    """Signed images of the symmetric patterns and of their 0/1 versions
+    (1 -> 0, 2 -> 1), which hold zeros as the engine's blocks do."""
+    for pattern in _symmetric_patterns(n):
+        zeroed = IntMatrix(n, tuple(x - 1 if x > 0 else x + 1 for x in pattern.entries))
+        for m in (pattern, zeroed):
+            rows = apply(GroupElement.random(n, rng), m).rows()
+            if all(map(any, rows)):
+                yield rows
+                yield rows[: rng.randint(1, n - 1)]
+
+
+def _assert_merge_keeps_the_search(monkeypatch, rows, n):
+    big = key_big(max(map(abs, itertools.chain.from_iterable(rows))))
+    best = canonical._level_search(rows, n, False, big)
+    searches = [(rows, False), (rows, True), (best, True)]
+    merged = [canonical._level_search(r, n, test, big) for r, test in searches]
+    with monkeypatch.context() as patch:
+        patch.setattr(canonical, "_merge_ties", _unmerged)
+        assert [canonical._level_search(r, n, test, big) for r, test in searches] == merged
+    assert merged[2] == best
+
+
+def _merge_sweep(monkeypatch, seed, per_shape, whole_up_to):
+    """Random blocks for n = 3..7, then the symmetric ones; whole symmetric
+    blocks only up to n = whole_up_to, since unmerged, the 7x7 identity
+    alone takes seconds."""
+    rng = random.Random(seed)
+    for n in range(3, 8):
+        for _ in range(per_shape):
+            for zeros in (False, True):
+                rows = _random_block(n, rng.randint(1, n), rng, zeros)
+                _assert_merge_keeps_the_search(monkeypatch, rows, n)
+        for rows in _symmetric_blocks(n, rng):
+            if len(rows) < n or n <= whole_up_to:
+                _assert_merge_keeps_the_search(monkeypatch, rows, n)
+
+
+def test_merged_level_search_equals_the_unmerged_one(monkeypatch):
+    # n >= 6 has no oracle, so the unmerged search is the reference there
+    _merge_sweep(monkeypatch, 2020, 40, 6)
+
+
+@pytest.mark.long_run
+def test_merged_level_search_equals_the_unmerged_one_sweep(monkeypatch):
+    for seed in range(2021, 2024):
+        _merge_sweep(monkeypatch, seed, 200, 7)
 
 
 def test_prefix_ties_records_unmerged_levels(monkeypatch):

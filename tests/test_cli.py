@@ -93,6 +93,20 @@ def test_canon_stdin(capsys, monkeypatch):
     assert out.strip().splitlines() == ["1 1 1 2", "1 1 1 2"]
 
 
+def test_canon_prints_each_line_before_reading_the_next(capsys, monkeypatch):
+    printed = []
+
+    def lines():
+        for text in ("2 1 1 1\n", "-1 -1 -1 -2\n"):
+            yield text
+            printed.append(capsys.readouterr().out)
+
+    monkeypatch.setattr("sys.stdin", lines())
+    code, out, _ = run(capsys, "canon")
+    assert code == 0
+    assert printed == ["1 1 1 2\n", "1 1 1 2\n"]
+
+
 def test_canon_file(capsys, tmp_path):
     path = tmp_path / "mats.txt"
     path.write_text("1 2 2 3\n")

@@ -3,6 +3,9 @@
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from concurrent.futures import Executor, Future
 from dataclasses import replace
 from math import factorial
@@ -716,6 +719,19 @@ def test_checkpoint_resume_bit_identical(tmp_path):
     assert [c.rep.entries for c in resumed.classes] == [c.rep.entries for c in fresh.classes]
     assert resumed.nodes_explored == fresh.nodes_explored
     assert resumed.total_count == fresh.total_count
+
+
+def test_a_search_without_checkpoint_leaves_openssl_unloaded():
+    # hashlib loads OpenSSL, about 3.5 MB resident; only journals need it
+    code = (
+        "import sys; from zerofree import enumerate_classes, ClassQuery; "
+        "enumerate_classes(ClassQuery(3, 3, 3, thread_budget=1)); "
+        "print('hashlib' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_checkpoint_round_trip(tmp_path):
