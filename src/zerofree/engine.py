@@ -23,21 +23,30 @@ the output stream sorted by flattening and bit-identical across thread
 budgets and checkpoint splits.
 
 The last two rows of each prefix of n-2 rows are finished in one batch
-(_Generator._accept_batch).  det(prefix; y; x) = w_y . x, with w_y the
-cofactors of the last row, so one float64 product of the children's w_y
-with the contiguous slice of candidate rows gives every determinant.
-Inverse column n-2 holds the cofactors of y's row, minors of the prefix and
-x alone, so its zero and cap tests run once per x for all children, and only
-their survivors get the rest of the inverse.  A work unit that already
-holds n-1 rows (n <= 3) is the one child of its prefix.  Every product sums
-integers far below 2^53 (see _space), so float64 arithmetic is exact, and
-numpy's float64 products run in BLAS, which its int64 products do not.
+(_Generator._accept_batch), by expanding det(prefix; y; x) along y's row:
+det = y . z(x), with z(x) the cofactors of that row, minors of the prefix
+and x alone.  z is linear in x, and its kernel is the span of the prefix,
+so many candidate last rows share one z.  By Jacobi's complementary-minor
+identity z is inverse column n-2 times det, so it lies in the plane
+orthogonal to the prefix rows, where its entries (z_i, z_j) at the two
+columns outside a nonzero (n-2)-minor of the prefix already determine it.
+One sort of (z_i, z_j, row) words groups the rows, one float64 product of
+the children with the groups' z gives every determinant, and a child's
+nodes are summed over the groups it hits with prefix sums; inverse column
+n-2 is tested once per group.  Only the completions in groups that pass it
+are expanded, and they get the rest of the inverse.  Every product and
+every expansion is cut into chunks of at most _CELLS cells.  A work unit
+that already holds n-1 rows (n <= 3) is the one child of its prefix.  Every
+product sums integers far below 2^53 (see _space), so float64 arithmetic is
+exact, and numpy's float64 products run in BLAS, which its int64 products
+do not.
 
 A prefix carries its minor ladder: ladder[i] holds the i-column minors of
 its first i rows, one per column subset in itertools.combinations order.
 Every minor, determinant and cofactor the engine computes is a generalized
 Laplace expansion of a stacked block, and every expansion's terms and signs
-come from one table, _laplace.
+come from one table, _laplace.  A stored work unit keeps its rows only, and
+its ladder is rebuilt when the unit is searched (_ladder).
 
 A search with no beta cap is value-only (the largest inverse entry).  It
 tests canonicality on prefixes only: duplicates cannot change a maximum, so
@@ -94,7 +103,7 @@ from .matrix import ClassStats, IntMatrix, RegimeError
 MAX_SEARCH_DIM = 7
 MAX_SEARCH_ALPHA = 64
 _MAX_SPACE = 5_000_000  # candidate rows per level; positions beyond this are hopeless anyway
-_CELLS = 1 << 15  # (child, last row) pairs per final-depth determinant product
+_CELLS = 1 << 15  # cells per final-depth product or expansion chunk
 
 CHECKPOINT_VERSION = 2
 
@@ -418,6 +427,15 @@ def _grow_minors(n: int, k: int, minors: np.ndarray, cols: np.ndarray) -> np.nda
     return w @ cols
 
 
+def _ladder(n: int, rows) -> list[np.ndarray]:
+    """The minor ladder of `rows`, grown one row at a time from the one
+    empty minor of no rows."""
+    ladder = [np.ones(1, dtype=np.int64)]
+    for k, row in enumerate(rows):
+        ladder.append(_grow_minors(n, k, ladder[-1], np.array(row, dtype=np.int64)))
+    return ladder
+
+
 def _jacobi_cap(n: int, depth: int, alpha: int, beta_cap: int | None) -> int | None:
     """Bound on depth x depth minors implied by a capped inverse, if useful."""
     if beta_cap is None or depth >= n:
@@ -466,6 +484,20 @@ def _pair_minors(n: int) -> np.ndarray:
     out = np.zeros((n * n, comb(n, 2)), dtype=np.int64)
     out[top * n + bottom, full] = sign
     return out
+
+
+@lru_cache(maxsize=64)
+def _key_columns(n: int, subset: int) -> tuple[int, int]:
+    """The two columns outside the (n-2)-column subset with index `subset`.
+
+    When that subset's minor of n-2 rows P is nonzero, (z_i, z_j) at these
+    columns determines every z orthogonal to P's rows: z_i = z_j = 0 leaves
+    P's nonsingular block times the rest of z equal to zero.  The cofactors
+    of row n-2 of P + [y] + [x] are such a z (Jacobi's complementary-minor
+    identity makes them inverse column n-2 times det).
+    """
+    inside = next(itertools.islice(itertools.combinations(range(n), n - 2), subset, None))
+    return tuple(c for c in range(n) if c not in inside)
 
 
 def _pair_forms(n: int, rows, ladder) -> np.ndarray:
@@ -588,8 +620,9 @@ class _Generator:
         previous row, index `start` of the sorted space.  Columns that agree
         on every filled row must stay in structural order.  The rows that
         pass these masks are gathered, and their minors come from one
-        (subsets x rows) float64 product, so the gcd, cap and zero tests
-        each fold across whole contiguous rows of it.
+        (subsets x rows) float64 product, so the cap, zero and gcd tests
+        each fold across whole contiguous rows of it.  The cap and zero
+        tests run first, and the gcd only on the rows that pass them.
         """
         n = self.n
         depth = len(rows)
@@ -599,67 +632,157 @@ class _Generator:
             if cols[c] == cols[c + 1]:
                 mask &= self.keys_arr[start:, c] <= self.keys_arr[start:, c + 1]
         idx = np.flatnonzero(mask) + start
-        grown = _grow_minors(n, depth, minors, self.cols[:, idx]).astype(np.int64)
-        size = np.abs(grown)
-        keep = np.gcd.reduce(size, axis=0) == 1
+        grown = _grow_minors(n, depth, minors, self.cols[:, idx])
         cap = _jacobi_cap(n, depth + 1, self.p.alpha, self.p.beta_cap)
-        if cap is not None:
-            keep &= size.max(axis=0) <= cap
-        if depth + 1 == n - 1 and self.p.require_zerofree:
-            # these minors are the last inverse column, up to signs
-            keep &= size.min(axis=0) > 0
+        zero = depth + 1 == n - 1 and self.p.require_zerofree
+        if cap is not None or zero:
+            size = np.abs(grown)
+            keep = size.max(axis=0) <= cap if cap is not None else np.ones(len(idx), dtype=bool)
+            if zero:
+                # these minors are the last inverse column, up to signs
+                keep &= size.min(axis=0) > 0
+            idx, grown = idx[keep], grown[:, keep]
+        grown = grown.astype(np.int64)
+        keep = np.gcd.reduce(np.abs(grown), axis=0) == 1
         return idx[keep], grown[:, keep].T
 
-    def _leaf_keep(self, absinv: np.ndarray) -> np.ndarray:
-        """Which columns of inverse magnitudes (entries x leaves) pass the
-        zero and beta-cap tests."""
-        keep = np.ones(absinv.shape[1], dtype=bool)
+    def _leaf_keep(self, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+        """Which leaves, with smallest and largest inverse magnitudes `low`
+        and `high`, pass the zero and beta-cap tests."""
+        cap = self.p.beta_cap
+        keep = high <= cap if cap is not None else np.ones(len(high), dtype=bool)
         if self.p.require_zerofree:
-            keep &= absinv.min(axis=0) > 0
-        if self.p.beta_cap is not None:
-            keep &= absinv.max(axis=0) <= self.p.beta_cap
+            keep &= low > 0
         return keep
 
-    def _unimodular(self, rows, ys, idx, w, base_mask):
+    def _groups(self, rows, ladder, base_mask, start: int):
+        """The rows x of the space from `start` on that pass `base_mask`,
+        grouped by z(x), the cofactors of row n-2 of rows + [y] + [x] for
+        any y: det(rows; y; x) = y . z(x).  z is linear in x, and its kernel
+        is the span of `rows`.
+
+        Returns (z, packed, heads, ends, xs):
+          z       one column per group, the z of its rows;
+          packed  (group key << width) | place, one word per row, sorted:
+                  each group is contiguous and lists its rows in scan order;
+          heads   each group's key << width, and ends, where it ends in
+                  `packed`;
+          xs      the rows' indices in the space, in place order.
+        n = 1 has no row n-2: there z(x) is x, and det = 1 . x.
+        """
+        n = self.n
+        xs = np.flatnonzero(base_mask[start:]) + start
+        space = np.take(self.cols, xs, axis=1)
+        if n > 1:
+            zmap = _cofactor_matrix(n, n - 2, ladder[n - 2]).T
+            pick = _key_columns(n, int(np.flatnonzero(ladder[n - 2])[0]))
+        else:
+            zmap, pick = np.ones((1, 1), dtype=np.int64), (0, 0)
+        # (z_i, z_j) names the group (_key_columns); each spans fewer than
+        # 2 (n-1)! alpha^(n-1) + 1 values, so the pair fits an int64
+        key = (zmap[list(pick)] @ space).astype(np.int64)
+        key -= key.min(axis=1, keepdims=True)
+        key = key[0] * (key[1].max() + 1) + key[1]
+        width = len(xs).bit_length()
+        if key.max() >> (62 - width):  # too wide to pack beside a place: rank it
+            key = np.unique(key, return_inverse=True)[1]
+        packed = np.sort(key << width | np.arange(len(xs)))
+        key = packed >> width
+        cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
+        firsts, ends = np.concatenate(([0], cuts)), np.concatenate((cuts, [len(xs)]))
+        z = zmap @ np.take(space, packed[firsts] & ((1 << width) - 1), axis=1)
+        return z, packed, key[firsts] << width, ends, xs
+
+    def _completions(self, rows, ladder, idx, ys, base_mask):
         """The last rows x that complete rows + [y] to a unimodular matrix in
         scan order, for each child y: row c of `ys`, at index idx[c] of the
-        space, with last-row cofactors w[c].
+        space.  As in _candidates, x comes at or after y, passes
+        `base_mask`, and keeps the columns that agree on rows + [y] in
+        structural order.
 
-        Returns (mask, dets), one row per child, over the space from idx[0]
-        on.  As in _candidates, x comes at or after y, passes `base_mask`,
-        and keeps the columns that agree on rows + [y] in structural order.
-        det(rows; y; x) = w_y . x, so one float64 product gives every
-        determinant.
-        """
-        start = int(idx[0])
-        dets = w @ self.cols[:, start:]
-        good = (dets == 1) | (dets == -1)
-        good &= base_mask[start:]
-        for k, i in enumerate(idx - start):
-            good[k, :i] = False
-        keys = self.keys_arr[start:]
-        for c in range(self.n - 1):
-            if all(r[c] == r[c + 1] for r in rows):
-                good[ys[:, c] == ys[:, c + 1]] &= keys[:, c] <= keys[:, c + 1]
-        return good, dets
+        Yields, for each chunk of children from c0 on, (c0, nodes, pieces):
+        nodes[c] counts the completions of child c0 + c, and `pieces` yields
+        (child, xs, dets, mid) for the completions whose inverse column n-2
+        passes the leaf filters: their children, last rows, determinants and
+        the column's largest magnitude, in child order, about _CELLS / n^2
+        at a time.
 
-    def _shared_column(self, rows, ladder, start: int):
-        """Inverse column n-2 of rows + [y] + [x], for every x of the space
-        from `start` on: its largest magnitude, and whether it passes the
-        leaf filters.  The column holds the cofactors of y's row, minors of
-        `rows` and x alone, so every child y shares it.  It is built one
-        entry at a time; n = 1 has no such column, and ones change no test
-        and no beta.
+        The rows of one group (_groups) share z, so one product of the
+        children with the groups' z gives every determinant, in chunks of
+        at most _CELLS (child, group) cells.  A child counts the rows of each
+        group it hits from its own place on, less those out of the column
+        order it needs, from prefix sums along `packed`.  Inverse column n-2
+        is z over det, so it is tested once per group.
         """
-        n, space = self.n, self.cols[:, start:]
-        size, keep = np.ones(space.shape[1]), np.ones(space.shape[1], dtype=bool)
-        if n > 1:
-            size[:] = 0
-            for col in _cofactor_matrix(n, n - 2, ladder[n - 2]).T:
-                entry = np.abs(col @ space)
-                keep &= self._leaf_keep(entry[None])
-                np.maximum(size, entry, out=size)
-        return size, keep
+        n = self.n
+        z, packed, heads, ends, xs = self._groups(rows, ladder, base_mask, int(idx[0]))
+        absz = np.abs(z)
+        mid = absz.max(axis=0)
+        mid_keep = self._leaf_keep(absz.min(axis=0), mid)
+        first = np.searchsorted(xs, idx)
+        xs = xs[packed & ((1 << len(xs).bit_length()) - 1)]  # in `packed` order
+        order = self._column_order(rows, ys, xs)
+        step = max(1, _CELLS // z.shape[1])
+        for c0 in range(0, len(idx), step):
+            dets = ys[c0 : c0 + step] @ z
+            child, group = np.nonzero(np.abs(dets) == 1)
+            dets = dets[child, group]
+            child += c0
+            lo, hi = np.searchsorted(packed, heads[group] | first[child]), ends[group]
+            count = hi - lo
+            if order is not None:
+                bits, need, misses = order
+                for u, miss in misses.items():
+                    asks = need[child] == u
+                    count[asks] -= miss[hi[asks]] - miss[lo[asks]]
+            nodes = np.bincount(child - c0, count, min(step, len(idx) - c0)).astype(np.int64)
+            hits = child, dets, mid[group], lo, (hi - lo) * mid_keep[group]
+            yield c0, nodes, self._expand(hits, xs, order, _CELLS // (n * n))
+
+    def _column_order(self, rows, ys, xs):
+        """The structural order of columns c, c+1 that agree on `rows`, as
+        bits: bit b of bits[t] is set if row xs[t] is in order on the b-th
+        such pair, and need[k] holds the bits child ys[k] asks for, on the
+        pairs where it agrees too.  misses[u][t] counts the rows among
+        xs[:t] without the bits u.  Returns (bits, need, misses), or None
+        when no child asks for an order (in a zerofree search none does: a
+        repeated pair zeroes minors of inverse column n-1)."""
+        agree = [c for c in range(self.n - 1) if all(r[c] == r[c + 1] for r in rows)]
+        need = np.zeros(len(ys), dtype=np.int64)
+        for b, c in enumerate(agree):
+            need |= (ys[:, c] == ys[:, c + 1]).astype(np.int64) << b
+        if not need.any():
+            return None
+        bits = np.zeros(len(xs), dtype=np.int64)
+        for b, c in enumerate(agree):
+            keys = self.keys_arr[xs, c : c + 2]
+            bits |= (keys[:, 0] <= keys[:, 1]).astype(np.int64) << b
+        misses = {}
+        for u in sorted(set(need.tolist()) - {0}):
+            misses[u] = np.concatenate([[0], np.cumsum((bits & u) != u)])
+        return bits, need, misses
+
+    @staticmethod
+    def _expand(hits, xs, order, piece: int):
+        """The rows of each hit (child, det, mid, lo, length): xs[lo] ..
+        xs[lo + length - 1], less those out of the column order the child
+        needs.  Yields (child, xs, dets, mid), about `piece` rows at a time
+        (a hit is not split)."""
+        child, dets, mid, lo, length = hits
+        end = np.cumsum(length)
+        cuts = [0, len(end)]
+        if len(end) and end[-1] > piece:
+            cuts[1:1] = (np.flatnonzero(np.diff((end - 1) // max(1, piece))) + 1).tolist()
+        shift = lo - end + length
+        for a, b in itertools.pairwise(cuts) if len(end) else ():
+            hit = np.repeat(np.arange(a, b), length[a:b])
+            pos = np.arange(end[a] - length[a], end[b - 1]) + shift[hit]
+            if order is not None:
+                bits, need, _ = order
+                wanted = need[child[hit]]
+                ok = (bits[pos] & wanted) == wanted
+                hit, pos = hit[ok], pos[ok]
+            yield child[hit], xs[pos], dets[hit], mid[hit]
 
     def _accept_batch(self, rows, ladder, idx, grown, base_mask, reach=None):
         """Finish the search below the canonical children of one prefix.
@@ -670,39 +793,43 @@ class _Generator:
         holds n-1 rows (n <= 3) is the one child of its prefix: `rows` is
         the unit and idx holds its last row (0 for n = 1).
 
-        The determinants come from _unimodular, in chunks of about _CELLS
-        (child, x) pairs, and nodes are spent child by child in search
-        order.  Inverse column n-1 is the cofactors w_y of the last row,
-        which _candidates has tested, and column n-2 is _shared_column.
-        The other columns are bilinear in (y, x) (_pair_forms) and are
-        assembled for the survivors only.  The determinants are +-1, so
-        every test and every stored beta reads inverse magnitudes.
+        The completions come from _completions, chunk by chunk, and nodes
+        are spent child by child in search order.  Inverse column n-1 is the
+        cofactors of the last row, grown[c] up to order and sign, which
+        _candidates has tested; column n-2 is tested in _completions.  The
+        other columns are bilinear in (y, x) (_pair_forms) and are assembled
+        for the survivors only.  The determinants are +-1, so every test
+        and every stored beta reads inverse magnitudes.
         """
-        n, ys, start = self.n, self._rows(idx), int(idx[0])
+        n, ys = self.n, self._rows(idx)
         heads = [rows] if len(rows) == n - 1 else [rows + [tuple(y)] for y in ys.tolist()]
-        top, _, j, sign = _cofactor_terms(n, n - 1)
-        w = np.zeros((len(idx), n))
-        w[:, j] = sign * grown[:, top]
-        mid, mid_keep = self._shared_column(rows, ladder, start)
         forms = _pair_forms(n, rows, ladder).T if n > 1 else np.zeros((0, 1))
-        space = self.cols[:, start:]
-        step = max(1, _CELLS // space.shape[1])
-        for c0 in range(0, len(idx), step):
-            kids = slice(c0, c0 + step)
-            good, dets = self._unimodular(rows, ys[kids], idx[kids], w[kids], base_mask)
-            lo = int(idx[c0]) - start
-            nodes = np.count_nonzero(good, axis=1)
-            child, xs = np.nonzero(good & mid_keep[lo:])
-            dets, xs, child = dets[child, xs], xs + lo, child + c0
-            pairs = (ys.T[:, None, child] * space[None, :, xs]).reshape(n * n, -1)
-            absinv = np.concatenate([np.abs(forms @ pairs), mid[None, xs], np.abs(w.T[:, child])])
-            keep, betas = self._leaf_keep(absinv), absinv.max(axis=0).astype(np.int64)
+        last = np.abs(grown).max(axis=1)  # inverse column n-1
+        lefts = ys if n > 1 else np.ones((1, 1), dtype=np.int64)  # n = 1: det = 1 . x
+        for c0, nodes, pieces in self._completions(rows, ladder, idx, lefts, base_mask):
+            kept = []
+            for child, xs, dets, mid in pieces:
+                y, x = np.take(self.cols, idx[child], axis=1), np.take(self.cols, xs, axis=1)
+                pairs = (y[:, None] * x[None]).reshape(n * n, -1)
+                inv = np.abs(forms @ pairs)  # columns 0..n-3
+                betas = np.maximum(inv.max(axis=0, initial=0), np.maximum(mid, last[child]))
+                keep = self._leaf_keep(inv.min(axis=0, initial=np.inf), betas)
+                # the running best only grows, so lower leaves are never kept
+                keep &= betas >= self.best_beta
+                if keep.any():
+                    kept.append((child[keep], xs[keep], dets[keep], betas[keep].astype(np.int64)))
+            bounds = np.zeros(len(nodes) + 1, dtype=np.int64)
+            if kept:
+                child, xs, dets, betas = map(np.concatenate, zip(*kept))
+                by = np.lexsort((xs, child))
+                child, xs, dets, betas = child[by], xs[by], dets[by], betas[by]
+                bounds = np.searchsorted(child, np.arange(c0, c0 + len(nodes) + 1))
             for k in range(c0, c0 + len(nodes)):
                 if reach is None or reach[k] >= self.best_beta:
                     self._spend(int(nodes[k - c0]))
-                    sel = keep & (child == k)
-                    if sel.any():
-                        self._record(heads[k], xs[sel] + start, dets[sel], betas[sel])
+                    a, b = bounds[k - c0], bounds[k - c0 + 1]
+                    if b > a:
+                        self._record(heads[k], xs[a:b], dets[a:b], betas[a:b])
 
     def _record(self, rows, xs: np.ndarray, dets, betas: np.ndarray):
         """Record the kept completions of the n-1 rows `rows` by the rows xs
@@ -793,16 +920,22 @@ class _Generator:
     def run_prefixes(self, stop_depth: int):
         """Stage 1: every accepted prefix of `stop_depth` rows, in order.
 
-        A prefix is (rows, minor ladder, index of the first row, index of the
-        last row); run_subtree searches below it.
+        A prefix is (rows, index of the first row, index of the last row);
+        run_subtree searches below it.  Its minor ladder is rebuilt there:
+        kept here, the ladders would hold every stage-1 minor array.
         """
         out = []
-        empty = [np.ones(1, dtype=np.int64)]  # ladder of no rows: one empty minor
-        self._descend([], empty, None, 0, self._base_mask(None), stop_depth, out.append)
+
+        def store(prefix):
+            rows, _, first, last = prefix
+            out.append((rows, first, last))
+
+        self._descend([], _ladder(self.n, []), None, 0, self._base_mask(None), stop_depth, store)
         return out
 
-    def run_subtree(self, rows, ladder, first, last):
+    def run_subtree(self, rows, first, last):
         """Finish the search below one stored prefix."""
+        ladder = _ladder(self.n, rows)
         self._descend(rows, ladder, first, last, self._base_mask(first), self.n + 1, None)
 
     def payload(self) -> dict:

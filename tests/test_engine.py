@@ -469,10 +469,11 @@ def _keys(row):
 
 def _final_depth_reference(p: _SearchParams, space, rows):
     """Below one (n-1)-row prefix: the batch of unimodular completions with
-    their determinants, the survivors of the inverse column n-2 test, and
-    the leaves that pass every filter as (matrix, det, beta).  `space`
-    lists every row with its entry keys and sorted magnitudes.  Each
-    completion goes through matrix.det and adjugate_inverse on its own."""
+    their determinants, the survivors of the inverse column n-2 test with
+    that column's largest magnitude, and the leaves that pass every filter
+    as (matrix, det, beta).  `space` lists every row with its entry keys and
+    sorted magnitudes.  Each completion goes through matrix.det and
+    adjugate_inverse on its own."""
     n = p.n
     equal_cols = [c for c in range(n - 1) if all(r[c] == r[c + 1] for r in rows)]
 
@@ -497,7 +498,7 @@ def _final_depth_reference(p: _SearchParams, space, rows):
         absinv = [abs(x) for x in adjugate_inverse(m).entries]
         if fails(absinv[n - 2 :: n]):  # inverse column n-2
             continue
-        survivors.append((row, d))
+        survivors.append((row, d, max(absinv[n - 2 :: n])))
         if fails(absinv):
             continue
         leaves.append((m, d, max(absinv)))
@@ -522,32 +523,31 @@ def _found_reference(p: _SearchParams, value_only: bool, leaves):
 
 def _final_depth_engine(p: _SearchParams, prefix):
     """Run the search below `prefix` and record, for every child of its
-    final-depth batches, its n-1 rows, its unimodular completions with their
-    determinants (at _unimodular) and those whose inverse column n-2 passes
-    (from _shared_column).  Returns the children in search order and the
-    leaves the search keeps."""
+    final-depth batches, its n-1 rows, its node count and its completions
+    whose inverse column n-2 passes, with their determinants and that
+    column's largest magnitude (all from _completions).  Returns the
+    children in search order and the leaves the search keeps."""
     gen = _Generator(p)
-    unimodular, shared_column = gen._unimodular, gen._shared_column
-    children, column = [], {}
+    completions = gen._completions
+    children = []
 
-    def record_column(rows, ladder, start):
-        size, keep = shared_column(rows, ladder, start)
-        column.update(start=start, keep=keep)
-        return size, keep
+    def record(rows, ladder, idx, ys, base_mask):
+        for c0, nodes, pieces in completions(rows, ladder, idx, ys, base_mask):
+            pieces = list(pieces)
+            for k, count in enumerate(nodes.tolist(), c0):
+                head = rows if len(rows) + 1 == p.n else rows + [tuple(ys[k].tolist())]
+                survivors = sorted(
+                    (x, d, mid)
+                    for piece in pieces
+                    for c, x, d, mid in zip(*(a.tolist() for a in piece))
+                    if c == k
+                )
+                rows_of = gen._rows([x for x, _, _ in survivors]).tolist()
+                survivors = [(tuple(r), d, mid) for r, (_, d, mid) in zip(rows_of, survivors)]
+                children.append((head, count, survivors))
+            yield c0, nodes, iter(pieces)
 
-    def record_unimodular(rows, ys, idx, w, base_mask):
-        good, dets = unimodular(rows, ys, idx, w, base_mask)
-        start = int(idx[0])
-        for y, mask, row_dets in zip(ys.tolist(), good, dets):
-            head = rows + [tuple(y)] if len(rows) + 2 == p.n else rows
-            xs = np.flatnonzero(mask) + start
-            dets_x = row_dets[xs - start].astype(int).tolist()
-            batch = list(zip(map(tuple, gen._rows(xs).tolist()), dets_x))
-            passed = column["keep"][xs - column["start"]]
-            children.append((head, batch, [b for b, ok in zip(batch, passed) if ok]))
-        return good, dets
-
-    gen._unimodular, gen._shared_column = record_unimodular, record_column
+    gen._completions = record
     gen.run_subtree(*prefix)
     return children, gen.found
 
@@ -581,11 +581,12 @@ def test_final_depth_matches_leaves_computed_one_by_one(n, alpha, beta_cap, zero
     for prefix in sample:
         children, found = _final_depth_engine(p, prefix)
         leaves = []
-        for head, batch, survivors in children:
-            expected = _final_depth_reference(p, space, head)
-            assert (batch, survivors) == expected[:2], head
-            filtered += len(batch) - len(survivors)
-            leaves += expected[2]
+        for head, count, survivors in children:
+            batch, expected, head_leaves = _final_depth_reference(p, space, head)
+            expected = [(r, d, float(mid)) for r, d, mid in expected]
+            assert (count, survivors) == (len(batch), expected), head
+            filtered += count - len(survivors)
+            leaves += head_leaves
         assert found == _found_reference(p, value_only, leaves)
         kept += bool(found)
         widest = max(widest, len(children))
@@ -625,6 +626,20 @@ def test_first_two_units_of_the_5_3_3_table():
     reps = json.dumps([list(c.rep.entries) for c in result.classes])
     assert hashlib.sha256(reps.encode()).hexdigest() == (
         "5eeb13dcb746714e308711dbc7b5f548314c8d1c0008f1ae8178f5b6b3f9100f"
+    )
+
+
+@pytest.mark.long_run
+def test_first_three_units_of_the_6_2_2_table():
+    # n = 6 batches are where grouping last rows by their cofactors merges
+    # most; the digest was taken before the final depth grouped its rows
+    result = enumerate_classes(ClassQuery(6, 2, 2, long_run=True), _stop_after_units=3)
+    counts = (result.nodes_explored, result.total_count, result.positive_count)
+    assert counts == (11_642_944, 60, 0)
+    assert not result.complete
+    reps = json.dumps([list(c.rep.entries) for c in result.classes])
+    assert hashlib.sha256(reps.encode()).hexdigest() == (
+        "ac115ae2c43fbeff6e7f714a1df2e9a67875ea488f7d1579b1bd0472d4812731"
     )
 
 
