@@ -30,16 +30,19 @@ so many candidate last rows share one z.  By Jacobi's complementary-minor
 identity z is inverse column n-2 times det, so it lies in the plane
 orthogonal to the prefix rows, where its entries (z_i, z_j) at the two
 columns outside a nonzero (n-2)-minor of the prefix already determine it.
-One sort of (z_i, z_j, row) words groups the rows, one float64 product of
-the children with the groups' z gives every determinant, and a child's
-nodes are summed over the groups it hits with prefix sums; inverse column
-n-2 is tested once per group.  Only the completions in groups that pass it
-are expanded, and they get the rest of the inverse.  Every product and
-every expansion is cut into chunks of at most _CELLS cells.  A work unit
-that already holds n-1 rows (n <= 3) is the one child of its prefix.  Every
-product sums integers far below 2^53 (see _space), so float64 arithmetic is
-exact, and numpy's float64 products run in BLAS, which its int64 products
-do not.
+The column order rides in the same key: when some child y repeats a pair
+of columns on which the prefix agrees, each row's in-order bits on those
+pairs follow (z_i, z_j), so every group is uniform in them.  One sort of
+(z_i, z_j, bits, row) words groups the rows, one float64 product of the
+children with the groups' z gives every determinant, and a child's nodes
+are summed over the groups it hits: determinant +-1 and the bits it needs.
+Inverse column n-2 is tested once per group.  Only the completions in
+groups that pass it are expanded, and they get the rest of the inverse.
+Every product and every expansion is cut into chunks of at most _CELLS
+cells.  A work unit that already holds n-1 rows (n <= 3) is the one child
+of its prefix.  Every product sums integers far below 2^53 (see _space), so
+float64 arithmetic is exact, and numpy's float64 products run in BLAS,
+which its int64 products do not.
 
 A prefix carries its minor ladder: ladder[i] holds the i-column minors of
 its first i rows, one per column subset in itertools.combinations order.
@@ -561,6 +564,13 @@ class _NodeBudget(Exception):
     pass
 
 
+def _agreeing(rows, n: int) -> list[int]:
+    """The columns c < n-1 that agree with column c+1 on every row of
+    `rows`: a canonical matrix keeps each such pair in structural order."""
+    cols = list(zip(*rows)) or [()] * n  # no rows: every pair agrees
+    return [c for c in range(n - 1) if cols[c] == cols[c + 1]]
+
+
 def _is_canonical(entries, n: int) -> bool:
     """The engine's zero-tolerant canonicality test on a row-major matrix."""
     rows = [tuple(entries[i * n : (i + 1) * n]) for i in range(n)]
@@ -606,6 +616,11 @@ class _Generator:
         """Rows idx of the space, as integers."""
         return self.cols[:, idx].T.astype(np.int64)
 
+    def _in_order(self, at, c: int) -> np.ndarray:
+        """Whether rows `at` of the space keep columns c, c+1 in structural
+        order."""
+        return self.keys_arr[at, c] <= self.keys_arr[at, c + 1]
+
     def _spend(self, count: int = 1):
         if self.budget is not None and self.nodes + count > self.budget:
             raise _NodeBudget
@@ -618,19 +633,18 @@ class _Generator:
         Rows of a canonical matrix are structurally nondecreasing (swapping
         two adjacent rows is a group move), so the scan starts at the
         previous row, index `start` of the sorted space.  Columns that agree
-        on every filled row must stay in structural order.  The rows that
-        pass these masks are gathered, and their minors come from one
-        (subsets x rows) float64 product, so the cap, zero and gcd tests
-        each fold across whole contiguous rows of it.  The cap and zero
-        tests run first, and the gcd only on the rows that pass them.
+        on every filled row must stay in structural order (_in_order, one
+        mask per pair).  The rows that pass these masks are gathered, and
+        their minors come from one (subsets x rows) float64 product, so the
+        cap, zero and gcd tests each fold across whole contiguous rows of
+        it.  The cap and zero tests run first, and the gcd only on the rows
+        that pass them.
         """
         n = self.n
         depth = len(rows)
         mask = base_mask[start:].copy()
-        cols = list(zip(*rows))
-        for c in range(len(cols) - 1):
-            if cols[c] == cols[c + 1]:
-                mask &= self.keys_arr[start:, c] <= self.keys_arr[start:, c + 1]
+        for c in _agreeing(rows, n):
+            mask &= self._in_order(slice(start, None), c)
         idx = np.flatnonzero(mask) + start
         grown = _grow_minors(n, depth, minors, self.cols[:, idx])
         cap = _jacobi_cap(n, depth + 1, self.p.alpha, self.p.beta_cap)
@@ -655,23 +669,35 @@ class _Generator:
             keep &= low > 0
         return keep
 
-    def _groups(self, rows, ladder, base_mask, start: int):
-        """The rows x of the space from `start` on that pass `base_mask`,
+    def _groups(self, rows, ladder, idx, ys, base_mask):
+        """The rows x of the space from idx[0] on that pass `base_mask`,
         grouped by z(x), the cofactors of row n-2 of rows + [y] + [x] for
         any y: det(rows; y; x) = y . z(x).  z is linear in x, and its kernel
         is the span of `rows`.
 
-        Returns (z, packed, heads, ends, xs):
+        A child y, row c of `ys` at index idx[c] of the space, that repeats
+        a pair of columns on which `rows` agree needs x to keep that pair
+        in structural order.  When some child does, each row's in-order bits
+        on those pairs join its key, so every group is uniform in them.
+
+        Returns (z, packed, heads, ends, xs, first, order):
           z       one column per group, the z of its rows;
           packed  (group key << width) | place, one word per row, sorted:
-                  each group is contiguous and lists its rows in scan order;
+                  the groups are contiguous, in key order, and each lists
+                  its rows in scan order;
           heads   each group's key << width, and ends, where it ends in
                   `packed`;
-          xs      the rows' indices in the space, in place order.
+          xs      the rows' indices in the space, in `packed` order;
+          first   each child's place: child c's rows in group g start at
+                  searchsorted(packed, heads[g] | first[c]);
+          order   None if no child needs an order, else (bits, need): each
+                  group's in-order bits and the bits each child needs.
         n = 1 has no row n-2: there z(x) is x, and det = 1 . x.
         """
         n = self.n
+        start = int(idx[0])
         xs = np.flatnonzero(base_mask[start:]) + start
+        first = np.searchsorted(xs, idx)
         space = np.take(self.cols, xs, axis=1)
         if n > 1:
             zmap = _cofactor_matrix(n, n - 2, ladder[n - 2]).T
@@ -683,15 +709,22 @@ class _Generator:
         key = (zmap[list(pick)] @ space).astype(np.int64)
         key -= key.min(axis=1, keepdims=True)
         key = key[0] * (key[1].max() + 1) + key[1]
+        pairs = [c for c in _agreeing(rows, n) if (ys[:, c] == ys[:, c + 1]).any()]
         width = len(xs).bit_length()
-        if key.max() >> (62 - width):  # too wide to pack beside a place: rank it
+        if key.max() >> (62 - width - len(pairs)):  # too wide to pack: rank it
             key = np.unique(key, return_inverse=True)[1]
+        need = np.zeros(len(ys), dtype=np.int64)
+        for c in pairs:
+            key = key << 1 | self._in_order(xs, c)
+            need = need << 1 | (ys[:, c] == ys[:, c + 1])
         packed = np.sort(key << width | np.arange(len(xs)))
         key = packed >> width
         cuts = np.flatnonzero(key[1:] != key[:-1]) + 1
         firsts, ends = np.concatenate(([0], cuts)), np.concatenate((cuts, [len(xs)]))
-        z = zmap @ np.take(space, packed[firsts] & ((1 << width) - 1), axis=1)
-        return z, packed, key[firsts] << width, ends, xs
+        xs = xs[packed & ((1 << width) - 1)]
+        z = zmap @ np.take(self.cols, xs[firsts], axis=1)
+        order = (key[firsts] & ((1 << len(pairs)) - 1), need) if pairs else None
+        return z, packed, key[firsts] << width, ends, xs, first, order
 
     def _completions(self, rows, ladder, idx, ys, base_mask):
         """The last rows x that complete rows + [y] to a unimodular matrix in
@@ -709,65 +742,36 @@ class _Generator:
 
         The rows of one group (_groups) share z, so one product of the
         children with the groups' z gives every determinant, in chunks of
-        at most _CELLS (child, group) cells.  A child counts the rows of each
-        group it hits from its own place on, less those out of the column
-        order it needs, from prefix sums along `packed`.  Inverse column n-2
-        is z over det, so it is tested once per group.
+        at most _CELLS (child, group) cells.  A child hits a group when the
+        determinant is +-1 and the group has the in-order bits the child
+        needs; it counts the group's rows from its own place on.  Inverse
+        column n-2 is z over det, so it is tested once per group.
         """
         n = self.n
-        z, packed, heads, ends, xs = self._groups(rows, ladder, base_mask, int(idx[0]))
+        z, packed, heads, ends, xs, first, order = self._groups(rows, ladder, idx, ys, base_mask)
         absz = np.abs(z)
         mid = absz.max(axis=0)
         mid_keep = self._leaf_keep(absz.min(axis=0), mid)
-        first = np.searchsorted(xs, idx)
-        xs = xs[packed & ((1 << len(xs).bit_length()) - 1)]  # in `packed` order
-        order = self._column_order(rows, ys, xs)
         step = max(1, _CELLS // z.shape[1])
         for c0 in range(0, len(idx), step):
             dets = ys[c0 : c0 + step] @ z
             child, group = np.nonzero(np.abs(dets) == 1)
             dets = dets[child, group]
             child += c0
-            lo, hi = np.searchsorted(packed, heads[group] | first[child]), ends[group]
-            count = hi - lo
             if order is not None:
-                bits, need, misses = order
-                for u, miss in misses.items():
-                    asks = need[child] == u
-                    count[asks] -= miss[hi[asks]] - miss[lo[asks]]
-            nodes = np.bincount(child - c0, count, min(step, len(idx) - c0)).astype(np.int64)
+                bits, need = order
+                fits = (bits[group] & need[child]) == need[child]
+                child, group, dets = child[fits], group[fits], dets[fits]
+            lo, hi = np.searchsorted(packed, heads[group] | first[child]), ends[group]
+            nodes = np.bincount(child - c0, hi - lo, min(step, len(idx) - c0)).astype(np.int64)
             hits = child, dets, mid[group], lo, (hi - lo) * mid_keep[group]
-            yield c0, nodes, self._expand(hits, xs, order, _CELLS // (n * n))
-
-    def _column_order(self, rows, ys, xs):
-        """The structural order of columns c, c+1 that agree on `rows`, as
-        bits: bit b of bits[t] is set if row xs[t] is in order on the b-th
-        such pair, and need[k] holds the bits child ys[k] asks for, on the
-        pairs where it agrees too.  misses[u][t] counts the rows among
-        xs[:t] without the bits u.  Returns (bits, need, misses), or None
-        when no child asks for an order (in a zerofree search none does: a
-        repeated pair zeroes minors of inverse column n-1)."""
-        agree = [c for c in range(self.n - 1) if all(r[c] == r[c + 1] for r in rows)]
-        need = np.zeros(len(ys), dtype=np.int64)
-        for b, c in enumerate(agree):
-            need |= (ys[:, c] == ys[:, c + 1]).astype(np.int64) << b
-        if not need.any():
-            return None
-        bits = np.zeros(len(xs), dtype=np.int64)
-        for b, c in enumerate(agree):
-            keys = self.keys_arr[xs, c : c + 2]
-            bits |= (keys[:, 0] <= keys[:, 1]).astype(np.int64) << b
-        misses = {}
-        for u in sorted(set(need.tolist()) - {0}):
-            misses[u] = np.concatenate([[0], np.cumsum((bits & u) != u)])
-        return bits, need, misses
+            yield c0, nodes, self._expand(hits, xs, _CELLS // (n * n))
 
     @staticmethod
-    def _expand(hits, xs, order, piece: int):
+    def _expand(hits, xs, piece: int):
         """The rows of each hit (child, det, mid, lo, length): xs[lo] ..
-        xs[lo + length - 1], less those out of the column order the child
-        needs.  Yields (child, xs, dets, mid), about `piece` rows at a time
-        (a hit is not split)."""
+        xs[lo + length - 1].  Yields (child, xs, dets, mid), about `piece`
+        rows at a time (a hit is not split)."""
         child, dets, mid, lo, length = hits
         end = np.cumsum(length)
         cuts = [0, len(end)]
@@ -777,11 +781,6 @@ class _Generator:
         for a, b in itertools.pairwise(cuts) if len(end) else ():
             hit = np.repeat(np.arange(a, b), length[a:b])
             pos = np.arange(end[a] - length[a], end[b - 1]) + shift[hit]
-            if order is not None:
-                bits, need, _ = order
-                wanted = need[child[hit]]
-                ok = (bits[pos] & wanted) == wanted
-                hit, pos = hit[ok], pos[ok]
             yield child[hit], xs[pos], dets[hit], mid[hit]
 
     def _accept_batch(self, rows, ladder, idx, grown, base_mask, reach=None):
@@ -802,7 +801,6 @@ class _Generator:
         and every stored beta reads inverse magnitudes.
         """
         n, ys = self.n, self._rows(idx)
-        heads = [rows] if len(rows) == n - 1 else [rows + [tuple(y)] for y in ys.tolist()]
         forms = _pair_forms(n, rows, ladder).T if n > 1 else np.zeros((0, 1))
         last = np.abs(grown).max(axis=1)  # inverse column n-1
         lefts = ys if n > 1 else np.ones((1, 1), dtype=np.int64)  # n = 1: det = 1 . x
@@ -829,7 +827,8 @@ class _Generator:
                     self._spend(int(nodes[k - c0]))
                     a, b = bounds[k - c0], bounds[k - c0 + 1]
                     if b > a:
-                        self._record(heads[k], xs[a:b], dets[a:b], betas[a:b])
+                        head = rows if len(rows) == n - 1 else rows + [tuple(ys[k].tolist())]
+                        self._record(head, xs[a:b], dets[a:b], betas[a:b])
 
     def _record(self, rows, xs: np.ndarray, dets, betas: np.ndarray):
         """Record the kept completions of the n-1 rows `rows` by the rows xs
@@ -880,10 +879,10 @@ class _Generator:
         `first` and `last` index the first and last rows of `rows` in the
         space (None and 0 for the empty prefix), and `base_mask` is
         _base_mask(first).  A prefix of `stop_depth` rows goes to `sink` as
-        (rows, ladder, first, last) instead of being searched.
+        (rows, first, last) instead of being searched.
         """
         if len(rows) == stop_depth:
-            sink((rows, ladder, first, last))
+            sink((rows, first, last))
             return
         n = self.n
         if len(rows) + 1 == n:  # a unit of n-1 rows is the one child of its prefix
@@ -925,12 +924,8 @@ class _Generator:
         kept here, the ladders would hold every stage-1 minor array.
         """
         out = []
-
-        def store(prefix):
-            rows, _, first, last = prefix
-            out.append((rows, first, last))
-
-        self._descend([], _ladder(self.n, []), None, 0, self._base_mask(None), stop_depth, store)
+        root = _ladder(self.n, [])
+        self._descend([], root, None, 0, self._base_mask(None), stop_depth, out.append)
         return out
 
     def run_subtree(self, rows, first, last):

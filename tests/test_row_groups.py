@@ -7,8 +7,9 @@ summed over the groups it hits.  These tests check the identity, the key and
 the counts against computations that do not group.
 """
 
+import hashlib
 import itertools
-import types
+import json
 from math import factorial
 
 import numpy as np
@@ -23,6 +24,7 @@ from zerofree.engine import (
     _Generator,
     _key_columns,
     _ladder,
+    _run_search,
     _SearchParams,
 )
 from zerofree.matrix import IntMatrix, det
@@ -66,25 +68,59 @@ def test_row_cofactors_give_the_determinant_and_the_key_tells_them_apart(n, zero
         assert (z[:300] == z[300:]).all()
 
 
+def _bare_generator(space):
+    """A _Generator over the rows of `space` alone, whose entries stand in
+    for their structural keys."""
+    gen = object.__new__(_Generator)
+    gen.n, gen.cols, gen.keys_arr = space.shape[1], space.T.astype(float), space
+    return gen
+
+
+def _grouped(space, row, ys):
+    """The groups of the rows of `space` below the prefix [row], for the
+    children `ys`: their rows' indices in group order, each group's z, and
+    the order bits (None if no child needs any)."""
+    gen = _bare_generator(space)
+    ladder = _ladder(gen.n, [row])
+    idx = np.zeros(len(ys), dtype=np.int64)
+    z, _, _, ends, xs, first, order = gen._groups(
+        [row], ladder, idx, np.array(ys), np.ones(len(space), dtype=bool)
+    )
+    assert (first == 0).all()
+    return [g.tolist() for g in np.split(xs, ends[:-1])], z.T.tolist(), order
+
+
 def test_groups_rank_keys_too_wide_to_pack_beside_a_place():
     # Below the prefix row (1, 0, 0), z(x) = (0, x2, -x1) and the key is
     # (z_1, z_2).  Rows a and b below have keys 2^31 - 1 and 2^62 + 2^31 - 1:
     # shifted by the two bits a place needs, they would wrap to one word.
-    # Ranking the keys first keeps them apart.
-    n, big = 3, 1 << 31
-    row = (1, 0, 0)
+    # Ranking the keys first keeps them apart.  The child repeats no pair
+    # on which the prefix agrees, so no order bits join the key.
+    big = 1 << 31
     space = np.array([[0, 0, 0], [0, big - 1, 0], [0, 0, big]])  # a, then b last
-    stand_in = types.SimpleNamespace(n=n, cols=space.T.astype(float))
-    ladder = _ladder(n, [row])
-    assert _key_columns(n, int(np.flatnonzero(ladder[1])[0])) == (1, 2)
-    z, packed, heads, ends, xs = _Generator._groups(
-        stand_in, [row], ladder, np.ones(len(space), dtype=bool), 0
-    )
-    width = len(xs).bit_length()
-    groups = np.split(xs[packed & ((1 << width) - 1)], ends[:-1])
-    assert [g.tolist() for g in groups] == [[1], [0], [2]]
-    assert z.T.tolist() == [[0, 0, -(big - 1)], [0, 0, 0], [0, big, 0]]
-    assert len(set(heads.tolist())) == 3
+    assert _key_columns(3, int(np.flatnonzero(_ladder(3, [(1, 0, 0)])[1])[0])) == (1, 2)
+    groups, z, order = _grouped(space, (1, 0, 0), [(1, 2, 3)])
+    assert groups == [[1], [0], [2]]
+    assert z == [[0, 0, -(big - 1)], [0, 0, 0], [0, big, 0]]
+    assert order is None
+
+
+def test_groups_rank_keys_too_wide_to_pack_beside_order_bits_and_a_place():
+    # Below the prefix row (1, 1, 1) both pairs of neighbouring columns
+    # agree, and the child (2, 2, 2) repeats both, so two in-order bits join
+    # each key.  The key of the last row, about 2^59, fits beside the two
+    # bits a place of 3 rows needs, but not beside two order bits as well:
+    # unranked, its word would wrap to a negative number and its group
+    # would sort first.
+    big = (1 << 30) + 5
+    space = np.array([[0, 0, 0], [0, (1 << 29) - 1, 0], [0, 0, big]])
+    groups, z, order = _grouped(space, (1, 1, 1), [(2, 2, 2)])
+    assert groups == [[1], [0], [2]]
+    assert [sum(row) for row in z] == [0, 0, 0]
+    bits, need = order
+    # row 1 breaks the order of columns 1, 2 only; the child needs both pairs
+    assert bits.tolist() == [0b10, 0b11, 0b11]
+    assert need.tolist() == [0b11]
 
 
 def _brute_force_count(space, keys, mags, rows, y_index, tests):
@@ -172,7 +208,8 @@ def test_node_counts_match_a_brute_force_count(n, alpha, beta_cap, zeros, wanted
 def test_group_keys_fit_an_int64_on_every_admitted_space():
     # |z_i| <= (n-1)! * alpha^(n-1), so the shifted pair (z_i, z_j) packs into
     # fewer than (2 (n-1)! alpha^(n-1) + 1)^2 values on every space _space
-    # admits; wider keys are ranked before a row's place joins them
+    # admits; wider keys are ranked before the order bits and a row's place
+    # join them
     worst = 0
     for n in range(1, MAX_SEARCH_DIM + 1):
         for alpha in range(1, MAX_SEARCH_ALPHA + 1):
@@ -180,3 +217,20 @@ def test_group_keys_fit_an_int64_on_every_admitted_space():
                 if ((1 if positive_only else 2) * alpha + zeros) ** n <= engine._MAX_SPACE:
                     worst = max(worst, (2 * factorial(max(n - 1, 0)) * alpha ** (n - 1) + 1) ** 2)
     assert worst < 2**63
+
+
+@pytest.mark.parametrize("thread_budget", [1, 2])
+def test_first_three_units_of_the_5_2_value_search_with_zeros(thread_budget):
+    # The unrestricted max-beta search is where children repeat a pair of
+    # columns that their prefix agrees on, so the last row must keep it in
+    # structural order: 252 of the 2,565 final-depth children of these units
+    # do.  The digest of the kept buckets was taken before the order joined
+    # the group keys.
+    p = _SearchParams(5, 2, None, True, False, False)
+    result = _run_search(p, thread_budget=thread_budget, stop_after_units=3)
+    assert result.nodes == 540_623
+    assert not result.complete
+    assert sorted(result.buckets) == [(2, 26), (2, 52), (2, 78)]
+    assert hashlib.sha256(json.dumps(sorted(result.buckets.items())).encode()).hexdigest() == (
+        "b852ed61e5c5ad5b80078e44ed2e6c04f9ad2aa53eb2358571375859a8b059d9"
+    )
