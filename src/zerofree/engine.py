@@ -56,13 +56,13 @@ tests canonicality on prefixes only: duplicates cannot change a maximum, so
 the leaves of each child of a final-depth batch are reduced to their
 largest beta and the leaves attaining it, bucketed like enumeration leaves,
 and only the running best's bucket is kept; the winning leaf is tested at
-the end.  Value-only searches also branch and bound.  Below a prefix of
-n-2 rows, every inverse entry of a completion is linear in the last row x
-once the next row is fixed, so its largest magnitude over the box
-[-alpha, alpha]^n is alpha times the 1-norm of its coefficients
-(_beta_reach).  A child whose bound is strictly below the running best,
-which starts at a floor, is skipped; ties survive, so the answer and its
-witness do not change.
+the end.  Value-only searches also branch and bound, in the final-depth
+batch only.  Below a prefix of n-2 rows, every inverse entry of a
+completion is linear in the last row x once the next row is fixed, so its
+largest magnitude over the box [-alpha, alpha]^n is alpha times the 1-norm
+of its coefficients (_beta_reach, from the prefix forms the batch builds).
+A child strictly below the running best, which starts at a floor, is
+skipped; ties survive, so the answer and its witness do not change.
 
 The structural order of candidate rows is the zero-first order of
 canonical.entry_key, at the width the entry bound alpha needs; see the
@@ -361,17 +361,14 @@ def _space(n: int, alpha: int, zeros_allowed: bool, positive_only: bool):
     n! * alpha^n in magnitude, below 2^53 for every admitted space: float64
     arithmetic is exact.
     """
-    values = list(range(1, alpha + 1))
-    if zeros_allowed:
-        values = [0] + values
-    if not positive_only:
-        values += [-v for v in range(1, alpha + 1)]
+    admitted = range(0 if positive_only else -alpha, alpha + 1)
+    values = sorted((v for v in admitted if v or zeros_allowed), key=entry_key)
     if len(values) ** n > _MAX_SPACE:
         raise RegimeError(
             f"candidate space {len(values)}^{n} is too large to enumerate"
         )
-    # every row over `values`, column 0 varying slowest: `values` is listed
-    # in ascending key order, so the rows come out in structural order
+    # every row over `values`, column 0 varying slowest: `values` ascends in
+    # the structural order of entry_key, so the rows come out in that order
     k = len(values)
     cols = np.empty((n, k**n))
     for c in range(n):
@@ -522,24 +519,22 @@ def _pair_forms(n: int, rows, ladder) -> np.ndarray:
     return forms
 
 
-def _beta_reach(alpha: int, rows, ladder, cand: np.ndarray, grown: np.ndarray) -> np.ndarray:
-    """Upper bound on beta over every completion of rows + [y] + [x], for
+def _beta_reach(alpha: int, zmap, forms, cand: np.ndarray, grown: np.ndarray) -> np.ndarray:
+    """Upper bound on beta over every completion of prefix + [y] + [x], for
     each child y, a row of `cand`, and any last row x in [-alpha, alpha]^n.
 
-    `rows` holds n-2 rows with minor ladder `ladder`, and `grown` holds each
-    child's (n-1)-column minors.  Inverse column n-1 is those minors, up to
-    sign.  Column n-2 is linear in x, with coefficients shared by every
-    child.  Columns 0..n-3 are bilinear in (y, x) (_pair_forms, which the
-    final depth assembles the inverse with); one product of `cand` with an
-    n x n*n*(n-2) matrix gives every child's coefficients of x.  The largest
-    |c . x| over the box is alpha * ||c||_1.
+    `zmap` and `forms` are the prefix's forms from _Generator._accept_batch,
+    the bound's one caller.  Inverse column n-2 times det is zmap @ x, shared
+    by every child; columns 0..n-3 are bilinear in (y, x) (`forms`, row
+    i*n + j for entry (j, i)); column n-1 is `grown`, each child's
+    (n-1)-column minors, up to sign.  One product of `cand` gives every
+    child's coefficients of x.  The largest |c . x| over the box is
+    alpha * ||c||_1.
     """
     m, n = cand.shape
-    shared = alpha * np.abs(_cofactor_matrix(n, n - 2, ladder[n - 2])).sum(axis=0).max()
-    forms = _pair_forms(n, rows, ladder)
-    forms = forms.reshape(n, n, -1).transpose(0, 2, 1)  # [y column, cofactor, x column]
-    coef = np.abs(cand @ forms.reshape(n, -1)).reshape(m, n * (n - 2), n)
-    bilinear = alpha * coef.sum(axis=2).max(axis=1, initial=0)
+    shared = alpha * np.abs(zmap).sum(axis=1).max()
+    coef = np.abs(cand @ forms.reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1))
+    bilinear = alpha * coef.reshape(m, -1, n).sum(axis=2).max(axis=1, initial=0)
     return np.maximum(np.abs(grown).max(axis=1), np.maximum(bilinear, shared))
 
 
@@ -669,11 +664,12 @@ class _Generator:
             keep &= low > 0
         return keep
 
-    def _groups(self, rows, ladder, idx, ys, base_mask):
+    def _groups(self, rows, zmap, pick, idx, ys, base_mask):
         """The rows x of the space from idx[0] on that pass `base_mask`,
-        grouped by z(x), the cofactors of row n-2 of rows + [y] + [x] for
-        any y: det(rows; y; x) = y . z(x).  z is linear in x, and its kernel
-        is the span of `rows`.
+        grouped by z(x) = zmap @ x, the cofactors of row n-2 of rows + [y] +
+        [x] for any y: det(rows; y; x) = y . z(x).  z is linear in x, its
+        kernel is the span of `rows`, and its entries at the columns `pick`
+        (_key_columns) name its group.
 
         A child y, row c of `ys` at index idx[c] of the space, that repeats
         a pair of columns on which `rows` agree needs x to keep that pair
@@ -692,21 +688,14 @@ class _Generator:
                   searchsorted(packed, heads[g] | first[c]);
           order   None if no child needs an order, else (bits, need): each
                   group's in-order bits and the bits each child needs.
-        n = 1 has no row n-2: there z(x) is x, and det = 1 . x.
         """
         n = self.n
         start = int(idx[0])
         xs = np.flatnonzero(base_mask[start:]) + start
         first = np.searchsorted(xs, idx)
-        space = np.take(self.cols, xs, axis=1)
-        if n > 1:
-            zmap = _cofactor_matrix(n, n - 2, ladder[n - 2]).T
-            pick = _key_columns(n, int(np.flatnonzero(ladder[n - 2])[0]))
-        else:
-            zmap, pick = np.ones((1, 1), dtype=np.int64), (0, 0)
-        # (z_i, z_j) names the group (_key_columns); each spans fewer than
-        # 2 (n-1)! alpha^(n-1) + 1 values, so the pair fits an int64
-        key = (zmap[list(pick)] @ space).astype(np.int64)
+        # each of z_i, z_j spans fewer than 2 (n-1)! alpha^(n-1) + 1 values,
+        # so the pair fits an int64
+        key = (zmap[list(pick)] @ np.take(self.cols, xs, axis=1)).astype(np.int64)
         key -= key.min(axis=1, keepdims=True)
         key = key[0] * (key[1].max() + 1) + key[1]
         pairs = [c for c in _agreeing(rows, n) if (ys[:, c] == ys[:, c + 1]).any()]
@@ -726,7 +715,7 @@ class _Generator:
         order = (key[firsts] & ((1 << len(pairs)) - 1), need) if pairs else None
         return z, packed, key[firsts] << width, ends, xs, first, order
 
-    def _completions(self, rows, ladder, idx, ys, base_mask):
+    def _completions(self, rows, zmap, pick, idx, ys, base_mask):
         """The last rows x that complete rows + [y] to a unimodular matrix in
         scan order, for each child y: row c of `ys`, at index idx[c] of the
         space.  As in _candidates, x comes at or after y, passes
@@ -748,7 +737,9 @@ class _Generator:
         column n-2 is z over det, so it is tested once per group.
         """
         n = self.n
-        z, packed, heads, ends, xs, first, order = self._groups(rows, ladder, idx, ys, base_mask)
+        z, packed, heads, ends, xs, first, order = self._groups(
+            rows, zmap, pick, idx, ys, base_mask
+        )
         absz = np.abs(z)
         mid = absz.max(axis=0)
         mid_keep = self._leaf_keep(absz.min(axis=0), mid)
@@ -783,28 +774,44 @@ class _Generator:
             pos = np.arange(end[a] - length[a], end[b - 1]) + shift[hit]
             yield child[hit], xs[pos], dets[hit], mid[hit]
 
-    def _accept_batch(self, rows, ladder, idx, grown, base_mask, reach=None):
+    def _accept_batch(self, rows, ladder, idx, grown, base_mask):
         """Finish the search below the canonical children of one prefix.
 
         `rows` holds n-2 rows with minor ladder `ladder`; child c is row
-        idx[c] of the space, with (n-1)-column minors grown[c] and, in a
-        value-only search, beta bound reach[c].  A work unit that already
-        holds n-1 rows (n <= 3) is the one child of its prefix: `rows` is
-        the unit and idx holds its last row (0 for n = 1).
+        idx[c] of the space, with (n-1)-column minors grown[c].  A work unit
+        that already holds n-1 rows (n <= 3) is the one child of its prefix:
+        `rows` is the unit and idx holds its last row (0 for n = 1).
 
-        The completions come from _completions, chunk by chunk, and nodes
-        are spent child by child in search order.  Inverse column n-1 is the
-        cofactors of the last row, grown[c] up to order and sign, which
-        _candidates has tested; column n-2 is tested in _completions.  The
-        other columns are bilinear in (y, x) (_pair_forms) and are assembled
-        for the survivors only.  The determinants are +-1, so every test
-        and every stored beta reads inverse magnitudes.
+        The prefix's forms are built once: zmap maps x to z(x), inverse
+        column n-2 times det, keyed at the columns `pick`, and _pair_forms
+        gives the bilinear columns 0..n-3 (n = 1 has no row n-2: z(x) = x,
+        det = 1 . x).  Here alone a value-only search bounds its children
+        (_beta_reach): a child strictly below the running best is dropped
+        before _completions, and checked again when its nodes are spent.
+
+        Nodes are spent child by child in search order.  Inverse column n-1
+        is grown[c] up to order and sign, which _candidates has tested;
+        _completions tests column n-2, and the bilinear columns are
+        assembled for its survivors only.  The determinants are +-1, so
+        every test and every stored beta reads inverse magnitudes.
         """
         n, ys = self.n, self._rows(idx)
-        forms = _pair_forms(n, rows, ladder).T if n > 1 else np.zeros((0, 1))
+        if n > 1:
+            zmap = _cofactor_matrix(n, n - 2, ladder[n - 2]).T
+            pick = _key_columns(n, int(np.flatnonzero(ladder[n - 2])[0]))
+            forms = _pair_forms(n, rows, ladder).T
+        else:
+            ys = zmap = np.ones((1, 1), dtype=np.int64)
+            pick, forms = (0, 0), np.zeros((0, 1), dtype=np.int64)
+        reach = None
+        if self.p.beta_cap is None:
+            reach = _beta_reach(self.p.alpha, zmap, forms, ys, grown)
+            keep = reach >= self.best_beta
+            if not keep.any():
+                return
+            idx, ys, grown, reach = idx[keep], ys[keep], grown[keep], reach[keep]
         last = np.abs(grown).max(axis=1)  # inverse column n-1
-        lefts = ys if n > 1 else np.ones((1, 1), dtype=np.int64)  # n = 1: det = 1 . x
-        for c0, nodes, pieces in self._completions(rows, ladder, idx, lefts, base_mask):
+        for c0, nodes, pieces in self._completions(rows, zmap, pick, idx, ys, base_mask):
             kept = []
             for child, xs, dets, mid in pieces:
                 y, x = np.take(self.cols, idx[child], axis=1), np.take(self.cols, xs, axis=1)
@@ -893,18 +900,11 @@ class _Generator:
             return
         cand = self._rows(idx)
         ok = self._canonical_children(rows, cand)
-        reach = None
-        if self.p.beta_cap is None and len(rows) + 2 == n:
-            reach = _beta_reach(self.p.alpha, rows, ladder, cand, grown)
-            ok &= reach >= self.best_beta
         if len(rows) + 2 == n < stop_depth:  # stage 2 finishes both last rows at once
             self._spend(len(idx))
             if ok.any():
-                reach = None if reach is None else reach[ok]
-                self._accept_batch(rows, ladder, idx[ok], grown[ok], base_mask, reach)
+                self._accept_batch(rows, ladder, idx[ok], grown[ok], base_mask)
             return
-        # a reach bound here is stage 1's, which records no leaves: the
-        # running best is still the floor that `ok` was tested against
         for pos, row in enumerate(cand.tolist()):
             self._spend()
             if not ok[pos]:

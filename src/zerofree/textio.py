@@ -104,12 +104,10 @@ def parse_matrix_line(
     return IntMatrix(n, tuple(values))
 
 
-def iter_matrix_lines(lines, *, expect_n: int | None = None, require_nonzero: bool = False):
+def iter_matrix_lines(lines, *, require_nonzero: bool = False):
     """Yield (line_no, IntMatrix) for every non-comment, non-blank line."""
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        yield line_no, parse_matrix_line(
-            stripped, line_no=line_no, expect_n=expect_n, require_nonzero=require_nonzero
-        )
+        yield line_no, parse_matrix_line(stripped, line_no=line_no, require_nonzero=require_nonzero)

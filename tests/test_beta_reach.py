@@ -5,14 +5,26 @@ completion of that child.
 The oracle shares nothing with the engine's minor tables or inverse
 assembly: minors and adjugates come from numpy determinants of submatrices,
 and each child's best completion is confirmed with matrix.adjugate_inverse.
+
+The bound has one place: the final-depth batch applies it, from the forms of
+the prefix that it builds once.  Counting wrappers check that.
 """
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
-from zerofree.engine import _beta_reach
+from zerofree import engine
+from zerofree.engine import (
+    ClassQuery,
+    _beta_reach,
+    _cofactor_matrix,
+    _pair_forms,
+    enumerate_classes,
+    max_beta_search,
+)
 from zerofree.matrix import IntMatrix, adjugate_inverse
 
 
@@ -53,7 +65,10 @@ def _check_prefix(alpha, space, prefix):
     ladder = [_column_minors(q[:k][None], k)[0] for k in range(n - 1)]
     pairs = np.concatenate([np.broadcast_to(q, (len(space), n - 2, n)), space[:, None]], axis=1)
     grown = _column_minors(pairs, n - 1)
-    bound = _beta_reach(alpha, [tuple(r) for r in q.tolist()], ladder, space, grown)
+    # the prefix's forms, as the final depth builds them once per batch
+    zmap = _cofactor_matrix(n, n - 2, ladder[n - 2]).T
+    forms = _pair_forms(n, [tuple(r) for r in q.tolist()], ladder).T
+    bound = _beta_reach(alpha, zmap, forms, space, grown)
     # det [q; y; x] is x . c(y), with c(y) the signed cofactors of the last row
     cof = grown[:, ::-1] * np.array([(-1) ** (n - 1 + j) for j in range(n)])
     ys, xs = np.nonzero(np.abs(cof @ space.T) == 1)
@@ -92,3 +107,46 @@ def test_bound_covers_the_whole_n3_space(mode):
     space = _space(3, 2, mode == "unrestricted")
     checked = sum(_check_prefix(2, space, row[None]) for row in space)
     assert checked
+
+
+def _count_calls(monkeypatch):
+    """Count the calls of the final-depth batch, of its completions and of
+    the two builders of the prefix's forms it shares with the bound."""
+    calls = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("_pair_forms", "_beta_reach"):
+        monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
+    for name in ("_accept_batch", "_completions"):
+        method = counting(name, getattr(engine._Generator, name))
+        monkeypatch.setattr(engine._Generator, name, method)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "n, alpha, mode", [(1, 1, "unrestricted"), (3, 2, "unrestricted"), (4, 2, "unrestricted")]
+)
+def test_the_final_depth_batch_alone_bounds_from_forms_built_once(monkeypatch, n, alpha, mode):
+    # one bound and one set of bilinear forms per batch: none in the descent,
+    # none twice; n = 1 has no bilinear columns.  Some batches lose every
+    # child to the bound and never reach _completions.
+    calls = _count_calls(monkeypatch)
+    max_beta_search(n, alpha, mode, thread_budget=1)
+    assert calls["_accept_batch"] > 0
+    assert calls["_beta_reach"] == calls["_accept_batch"]
+    assert calls["_pair_forms"] == (calls["_accept_batch"] if n > 1 else 0)
+    if n > 1:
+        assert calls["_completions"] < calls["_accept_batch"]
+
+
+def test_an_enumeration_is_not_bounded(monkeypatch):
+    calls = _count_calls(monkeypatch)
+    enumerate_classes(ClassQuery(4, 3, 3, thread_budget=1))
+    assert calls["_accept_batch"] == calls["_pair_forms"] == calls["_completions"] > 0
+    assert calls["_beta_reach"] == 0

@@ -195,6 +195,17 @@ def test_n2_table(capsys):
     assert all(r[1] == r[2] for r in rows)
 
 
+def test_n2_reports_a_mismatch(capsys, monkeypatch):
+    from zerofree import closedform
+
+    count = closedform.prop5_count
+    monkeypatch.setattr(closedform, "prop5_count", lambda k: count(k) + (k == 3))
+    code, out, _ = run(capsys, "n2", "--kmax", "4")
+    assert code == 1
+    flagged = [line.split()[0] for line in out.splitlines() if line.endswith("MISMATCH")]
+    assert flagged == ["3"]
+
+
 def test_verify_prop0(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "prop0")
     assert code == 0
@@ -214,6 +225,26 @@ def test_verify_oracle_small(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "oracle", "--samples", "25")
     assert code == 0
     assert all("0 mismatches: OK" in line for line in out.strip().splitlines())
+
+
+def test_verify_oracle_fails_when_the_oracle_disagrees(capsys, monkeypatch):
+    from zerofree import cli
+    from zerofree.matrix import IntMatrix
+
+    monkeypatch.setattr(cli, "canonical_form_oracle", lambda m: IntMatrix.identity(m.n))
+    code, out, _ = run(capsys, "verify", "--suite", "oracle", "--samples", "3")
+    assert code == 1
+    lines = out.strip().splitlines()
+    assert len(lines) == 3 and all(line.endswith("FAILED") for line in lines)
+
+
+@pytest.mark.long_run
+def test_verify_conjectures_confirms_all_three(capsys):
+    code, out, _ = run(capsys, "verify", "--suite", "conjectures")
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert [line.split(":")[0] for line in lines] == [f"conjecture {i}" for i in (1, 2, 3)]
+    assert all(line.split()[2] == "confirmed" for line in lines)
 
 
 @pytest.mark.parametrize(

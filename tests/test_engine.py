@@ -29,6 +29,7 @@ from zerofree.engine import (
     enumerate_classes,
     load_checkpoint,
     max_beta_search,
+    save_checkpoint,
     sequence_scan,
     theoretical_beta_bound,
     verify_conjecture,
@@ -436,6 +437,11 @@ def test_infeasible_regimes_rejected():
         ClassQuery(3, 1, 2)
 
 
+def test_an_empty_beta_range_is_rejected():
+    with pytest.raises(ValueError, match="empty beta range"):
+        ClassQuery(3, 3, (5, 3))
+
+
 @pytest.mark.parametrize("zeros", [False, True])
 @pytest.mark.parametrize("alpha", [2, 3])
 @pytest.mark.parametrize("n", range(1, 8))
@@ -531,8 +537,8 @@ def _final_depth_engine(p: _SearchParams, prefix):
     completions = gen._completions
     children = []
 
-    def record(rows, ladder, idx, ys, base_mask):
-        for c0, nodes, pieces in completions(rows, ladder, idx, ys, base_mask):
+    def record(rows, zmap, pick, idx, ys, base_mask):
+        for c0, nodes, pieces in completions(rows, zmap, pick, idx, ys, base_mask):
             pieces = list(pieces)
             for k, count in enumerate(nodes.tolist(), c0):
                 head = rows if len(rows) + 1 == p.n else rows + [tuple(ys[k].tolist())]
@@ -875,6 +881,24 @@ def _header_extra_key(lines):
     lines[0] = json.dumps(header, sort_keys=True) + "\n"
 
 
+def _header_not_json(lines):
+    lines[0] = "{format_version: 2\n"
+
+
+def _header_a_json_array(lines):
+    lines[0] = json.dumps([json.loads(lines[0])]) + "\n"
+
+
+def _record_without_digest(lines):
+    record = json.loads(lines[1])
+    del record["digest"]
+    lines[1] = json.dumps(record, sort_keys=True) + "\n"
+
+
+def _record_not_an_object(lines):
+    lines[1] = json.dumps([json.loads(lines[1])]) + "\n"
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -886,6 +910,10 @@ def _header_extra_key(lines):
         _drop_header,
         _header_without_newline,
         _header_extra_key,
+        _header_not_json,
+        _header_a_json_array,
+        _record_without_digest,
+        _record_not_an_object,
     ],
 )
 def test_journal_corruption_is_not_a_torn_tail(tmp_path, corrupt):
@@ -897,6 +925,21 @@ def test_journal_corruption_is_not_a_torn_tail(tmp_path, corrupt):
     path.write_text("".join(lines))
     with pytest.raises(CheckpointError):
         load_checkpoint(str(path))
+
+
+def test_a_failed_rename_leaves_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "whole.ckpt"
+    enumerate_classes(ClassQuery(2, 3, 3), checkpoint_path=str(path))
+    before = path.read_bytes()
+
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(engine.os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        save_checkpoint(str(path), load_checkpoint(str(path)))
+    assert [p.name for p in tmp_path.iterdir()] == ["whole.ckpt"]
+    assert path.read_bytes() == before
 
 
 def test_resume_rejects_a_header_for_another_unit_count(tmp_path):

@@ -92,6 +92,11 @@ def test_inverse_3x3():
     assert inv.max_abs() == 3
 
 
+@pytest.mark.parametrize("d", [1, -1])
+def test_inverse_1x1(d):
+    assert adjugate_inverse(IntMatrix(1, (d,))) == IntMatrix(1, (d,))
+
+
 def test_inverse_requires_unimodular():
     with pytest.raises(NotUnimodularError):
         adjugate_inverse(IntMatrix.from_rows([[2, 0], [0, 1]]))
@@ -178,6 +183,12 @@ def test_rejects_minor_overflow_regime():
 def test_square_count_enforced():
     with pytest.raises(ValueError):
         IntMatrix(2, (1, 2, 3))
+
+
+def test_from_rows_rejects_ragged_rows():
+    # four entries would fill a 2x2 matrix, but the rows are not square
+    with pytest.raises(ValueError, match="rows must form a square matrix"):
+        IntMatrix.from_rows([(1, 2, 3), (4,)])
 
 
 # -- sign-matrix determinant sweep -----------------------------------------

@@ -30,6 +30,13 @@ from zerofree.engine import (
 from zerofree.matrix import IntMatrix, det
 
 
+def _key_forms(n: int, ladder):
+    """The prefix's map x -> z(x) and its key columns, as the final depth
+    builds them."""
+    zmap = _cofactor_matrix(n, n - 2, ladder[n - 2]).T
+    return zmap, _key_columns(n, int(np.flatnonzero(ladder[n - 2])[0]))
+
+
 def _random_prefix(rng, n: int, zeros: bool):
     """n-2 random rows with entries in -3..3 (0 only if `zeros`) and a
     nonzero (n-2)-minor, with their minor ladder."""
@@ -47,12 +54,11 @@ def test_row_cofactors_give_the_determinant_and_the_key_tells_them_apart(n, zero
     rng = np.random.default_rng(100 * n + zeros)
     for _ in range(4):
         rows, ladder, values = _random_prefix(rng, n, zeros)
-        zmap = _cofactor_matrix(n, n - 2, ladder[n - 2]).T
+        zmap, pick = _key_forms(n, ladder)
         for _ in range(10):
             y, x = rng.choice(values, n), rng.choice(values, n)
             expected = det(IntMatrix.from_rows(rows + [tuple(y.tolist()), tuple(x.tolist())]))
             assert int(y @ zmap @ x) == expected
-        pick = _key_columns(n, int(np.flatnonzero(ladder[n - 2])[0]))
         assert len(set(pick)) == 2
         # rows that differ by prefix rows share z; mix them with random rows
         xs = rng.choice(values, (300, n))
@@ -81,10 +87,10 @@ def _grouped(space, row, ys):
     children `ys`: their rows' indices in group order, each group's z, and
     the order bits (None if no child needs any)."""
     gen = _bare_generator(space)
-    ladder = _ladder(gen.n, [row])
+    zmap, pick = _key_forms(gen.n, _ladder(gen.n, [row]))
     idx = np.zeros(len(ys), dtype=np.int64)
     z, _, _, ends, xs, first, order = gen._groups(
-        [row], ladder, idx, np.array(ys), np.ones(len(space), dtype=bool)
+        [row], zmap, pick, idx, np.array(ys), np.ones(len(space), dtype=bool)
     )
     assert (first == 0).all()
     return [g.tolist() for g in np.split(xs, ends[:-1])], z.T.tolist(), order
@@ -154,8 +160,8 @@ def _run_batches(p, prefixes, wanted):
         gen = _Generator(p)
         completions = gen._completions
 
-        def record(rows, ladder, idx, ys, base_mask):
-            for c0, nodes, pieces in completions(rows, ladder, idx, ys, base_mask):
+        def record(rows, zmap, pick, idx, ys, base_mask):
+            for c0, nodes, pieces in completions(rows, zmap, pick, idx, ys, base_mask):
                 batches.append((rows, dict(zip(idx[c0:].tolist(), nodes.tolist()))))
                 yield c0, nodes, pieces
 
