@@ -56,13 +56,16 @@ tests canonicality on prefixes only: duplicates cannot change a maximum, so
 the leaves of each child of a final-depth batch are reduced to their
 largest beta and the leaves attaining it, bucketed like enumeration leaves,
 and only the running best's bucket is kept; the winning leaf is tested at
-the end.  Value-only searches also branch and bound, in the final-depth
-batch only.  Below a prefix of n-2 rows, every inverse entry of a
-completion is linear in the last row x once the next row is fixed, so its
-largest magnitude over the box [-alpha, alpha]^n is alpha times the 1-norm
-of its coefficients (_beta_reach, from the prefix forms the batch builds).
-A child strictly below the running best, which starts at a floor, is
-skipped; ties survive, so the answer and its witness do not change.
+the end.  Value-only searches also branch and bound, below prefixes of n-2
+rows only.  There every inverse entry of a completion is linear in the last
+row x once the next row is fixed, so its largest magnitude over the box
+[-alpha, alpha]^n is alpha times the 1-norm of its coefficients
+(_beta_reach, from the prefix forms built once).  One filter
+(_Generator._survivors) keeps the children of such a prefix: it drops every
+child strictly below the running best, which starts at a floor, and tests
+canonicality on the children left only.  Both tests are per child against
+the best at the start, so their order changes no survivor, and ties survive,
+so the answer and its witness do not change.
 
 The structural order of candidate rows is the zero-first order of
 canonical.entry_key, at the width the entry bound alpha needs; see the
@@ -72,7 +75,9 @@ Every search is the same descent from the empty prefix, run in two stages.
 Stage 1 descends to the accepted prefixes of min(2, n-1) rows, which are
 the work units; stage 2 finishes the descent below each unit.  The first
 row is chosen by the same filters as every later row, so at n = 1 the
-empty prefix is the one work unit.
+empty prefix is the one work unit.  At n = 2 and 3 a unit holds n-1 rows,
+and stage 1 keeps it by the final-depth filter, so a value-only search
+never stores a unit whose bound is below the floor.
 """
 
 from __future__ import annotations
@@ -500,6 +505,13 @@ def _key_columns(n: int, subset: int) -> tuple[int, int]:
     return tuple(c for c in range(n) if c not in inside)
 
 
+def _zmap(n: int, ladder) -> np.ndarray:
+    """Maps a last row x to z(x), the cofactors of row n-2 of prefix + [y] +
+    [x] for any y, from ladder[n-2], the minors of the prefix's n-2 rows:
+    inverse column n-2 times det."""
+    return _cofactor_matrix(n, n - 2, ladder[n - 2]).T
+
+
 def _pair_forms(n: int, rows, ladder) -> np.ndarray:
     """Bilinear forms of the cofactors of rows 0..n-3 of rows + [y] + [x].
 
@@ -523,7 +535,7 @@ def _beta_reach(alpha: int, zmap, forms, cand: np.ndarray, grown: np.ndarray) ->
     """Upper bound on beta over every completion of prefix + [y] + [x], for
     each child y, a row of `cand`, and any last row x in [-alpha, alpha]^n.
 
-    `zmap` and `forms` are the prefix's forms from _Generator._accept_batch,
+    `zmap` and `forms` are the prefix's forms from _Generator._survivors,
     the bound's one caller.  Inverse column n-2 times det is zmap @ x, shared
     by every child; columns 0..n-3 are bilinear in (y, x) (`forms`, row
     i*n + j for entry (j, i)); column n-1 is `grown`, each child's
@@ -606,6 +618,27 @@ class _Generator:
         for pos in np.flatnonzero(open_):
             ok[pos] = minimize_rows(rows + [tuple(cand[pos].tolist())], self.n, True) is not None
         return ok
+
+    def _survivors(self, rows, ladder, zmap, ys, grown):
+        """Which children rows + [y] of a prefix of n-2 rows the search keeps,
+        y a row of `ys` with (n-1)-column minors `grown`; `ladder` is the
+        prefix's minor ladder and `zmap` its _zmap.
+
+        Here alone a value-only search bounds its children: _beta_reach, from
+        the prefix's bilinear forms built here, drops every child strictly
+        below the running best.  Canonicality is tested on the children left
+        only.  Both are per-child tests against the best at the start, so
+        their order changes no survivor.  Returns (keep, reach, forms): the
+        kept children's bounds and the forms, both None in an enumeration.
+        """
+        if self.p.beta_cap is not None:
+            return self._canonical_children(rows, ys), None, None
+        forms = _pair_forms(self.n, rows, ladder).T
+        reach = _beta_reach(self.p.alpha, zmap, forms, ys, grown)
+        keep = reach >= self.best_beta
+        if keep.any():
+            keep[keep] = self._canonical_children(rows, ys[keep])
+        return keep, reach[keep], forms
 
     def _rows(self, idx) -> np.ndarray:
         """Rows idx of the space, as integers."""
@@ -775,19 +808,21 @@ class _Generator:
             yield child[hit], xs[pos], dets[hit], mid[hit]
 
     def _accept_batch(self, rows, ladder, idx, grown, base_mask):
-        """Finish the search below the canonical children of one prefix.
+        """Finish the search below the children of one prefix.
 
         `rows` holds n-2 rows with minor ladder `ladder`; child c is row
-        idx[c] of the space, with (n-1)-column minors grown[c].  A work unit
-        that already holds n-1 rows (n <= 3) is the one child of its prefix:
+        idx[c] of the space, with (n-1)-column minors grown[c].  _survivors
+        keeps the children first: the bound of a value-only search, then
+        canonicality.  A work unit that already holds n-1 rows (n <= 3) is
+        the one child of its prefix, which stage 1 has kept the same way:
         `rows` is the unit and idx holds its last row (0 for n = 1).
 
-        The prefix's forms are built once: zmap maps x to z(x), inverse
-        column n-2 times det, keyed at the columns `pick`, and _pair_forms
-        gives the bilinear columns 0..n-3 (n = 1 has no row n-2: z(x) = x,
-        det = 1 . x).  Here alone a value-only search bounds its children
-        (_beta_reach): a child strictly below the running best is dropped
-        before _completions, and checked again when its nodes are spent.
+        zmap (_zmap) maps x to z(x), inverse column n-2 times det, keyed at
+        the columns `pick`, and _pair_forms gives the bilinear columns
+        0..n-3 (n = 1 has no row n-2: z(x) = x, det = 1 . x).  The forms
+        are built once, by the bound or else for the first completion that
+        passes column n-2.  A child the bound kept is checked again against
+        the running best when its nodes are spent.
 
         Nodes are spent child by child in search order.  Inverse column n-1
         is grown[c] up to order and sign, which _candidates has tested;
@@ -795,25 +830,26 @@ class _Generator:
         assembled for its survivors only.  The determinants are +-1, so
         every test and every stored beta reads inverse magnitudes.
         """
-        n, ys = self.n, self._rows(idx)
+        n, reach, forms = self.n, None, None
         if n > 1:
-            zmap = _cofactor_matrix(n, n - 2, ladder[n - 2]).T
+            ys, zmap = self._rows(idx), _zmap(n, ladder)
+            if len(rows) + 2 == n:  # else stage 1 kept this unit of n-1 rows
+                keep, reach, forms = self._survivors(rows, ladder, zmap, ys, grown)
+                if not keep.any():
+                    return
+                idx, ys, grown = idx[keep], ys[keep], grown[keep]
             pick = _key_columns(n, int(np.flatnonzero(ladder[n - 2])[0]))
-            forms = _pair_forms(n, rows, ladder).T
         else:
             ys = zmap = np.ones((1, 1), dtype=np.int64)
             pick, forms = (0, 0), np.zeros((0, 1), dtype=np.int64)
-        reach = None
-        if self.p.beta_cap is None:
-            reach = _beta_reach(self.p.alpha, zmap, forms, ys, grown)
-            keep = reach >= self.best_beta
-            if not keep.any():
-                return
-            idx, ys, grown, reach = idx[keep], ys[keep], grown[keep], reach[keep]
         last = np.abs(grown).max(axis=1)  # inverse column n-1
         for c0, nodes, pieces in self._completions(rows, zmap, pick, idx, ys, base_mask):
             kept = []
             for child, xs, dets, mid in pieces:
+                if not len(xs):
+                    continue
+                if forms is None:
+                    forms = _pair_forms(n, rows, ladder).T
                 y, x = np.take(self.cols, idx[child], axis=1), np.take(self.cols, xs, axis=1)
                 pairs = (y[:, None] * x[None]).reshape(n * n, -1)
                 inv = np.abs(forms @ pairs)  # columns 0..n-3
@@ -898,13 +934,15 @@ class _Generator:
         idx, grown = self._candidates(rows, ladder[-1], base_mask, last)
         if not len(idx):
             return
-        cand = self._rows(idx)
-        ok = self._canonical_children(rows, cand)
         if len(rows) + 2 == n < stop_depth:  # stage 2 finishes both last rows at once
             self._spend(len(idx))
-            if ok.any():
-                self._accept_batch(rows, ladder, idx[ok], grown[ok], base_mask)
+            self._accept_batch(rows, ladder, idx, grown, base_mask)
             return
+        cand = self._rows(idx)
+        if len(rows) + 2 == n:  # stage 1 keeps units of n-1 rows (n <= 3) the same way
+            ok = self._survivors(rows, ladder, _zmap(n, ladder), cand, grown)[0]
+        else:
+            ok = self._canonical_children(rows, cand)
         for pos, row in enumerate(cand.tolist()):
             self._spend()
             if not ok[pos]:

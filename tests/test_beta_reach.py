@@ -6,8 +6,10 @@ The oracle shares nothing with the engine's minor tables or inverse
 assembly: minors and adjugates come from numpy determinants of submatrices,
 and each child's best completion is confirmed with matrix.adjugate_inverse.
 
-The bound has one place: the final-depth batch applies it, from the forms of
-the prefix that it builds once.  Counting wrappers check that.
+The bound has one place: the filter that keeps the final-depth children of
+a prefix (_Generator._survivors) applies it, from the forms of the prefix
+that it builds once, before the canonicality test.  Counting wrappers check
+that.
 """
 
 import collections
@@ -110,22 +112,48 @@ def test_bound_covers_the_whole_n3_space(mode):
 
 
 def _count_calls(monkeypatch):
-    """Count the calls of the final-depth batch, of its completions and of
-    the two builders of the prefix's forms it shares with the bound."""
+    """Count the calls of the final-depth batch, of the filter that keeps
+    its children, of its completions and of the two builders of the
+    prefix's forms.  A call is also counted under the wrapped call it runs
+    in (`"_pair_forms in _survivors"`), and "expanding" counts the
+    _completions calls that yield a completion passing inverse column n-2."""
     calls = collections.Counter()
+    running = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            if running:
+                calls[f"{name} in {running[-1]}"] += 1
+            running.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                running.pop()
 
         return wrapper
 
     for name in ("_pair_forms", "_beta_reach"):
         monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
-    for name in ("_accept_batch", "_completions"):
+    for name in ("_accept_batch", "_survivors", "_canonical_children"):
         method = counting(name, getattr(engine._Generator, name))
         monkeypatch.setattr(engine._Generator, name, method)
+    completions = engine._Generator._completions
+
+    def flagged(pieces, seen):
+        for piece in pieces:
+            if len(piece[1]) and not seen:
+                seen.append(True)
+                calls["expanding"] += 1
+            yield piece
+
+    def counted_completions(self, *args):
+        calls["_completions"] += 1
+        seen = []
+        for c0, nodes, pieces in completions(self, *args):
+            yield c0, nodes, flagged(pieces, seen)
+
+    monkeypatch.setattr(engine._Generator, "_completions", counted_completions)
     return calls
 
 
@@ -133,20 +161,67 @@ def _count_calls(monkeypatch):
     "n, alpha, mode", [(1, 1, "unrestricted"), (3, 2, "unrestricted"), (4, 2, "unrestricted")]
 )
 def test_the_final_depth_batch_alone_bounds_from_forms_built_once(monkeypatch, n, alpha, mode):
-    # one bound and one set of bilinear forms per batch: none in the descent,
-    # none twice; n = 1 has no bilinear columns.  Some batches lose every
-    # child to the bound and never reach _completions.
+    # the final-depth filter, _survivors, is the bound's one home: one bound
+    # and one set of bilinear forms per call, none elsewhere.  At n = 4 every
+    # final-depth batch filters its children; at n <= 3 stage 1 filters the
+    # units of n-1 rows, and a unit's batch builds its forms only when it
+    # expands a completion.  n = 1 has no child to filter.  Some batches
+    # lose every child to the filter and never reach _completions.
     calls = _count_calls(monkeypatch)
     max_beta_search(n, alpha, mode, thread_budget=1)
     assert calls["_accept_batch"] > 0
-    assert calls["_beta_reach"] == calls["_accept_batch"]
-    assert calls["_pair_forms"] == (calls["_accept_batch"] if n > 1 else 0)
-    if n > 1:
+    assert calls["_beta_reach"] == calls["_beta_reach in _survivors"] == calls["_survivors"]
+    assert calls["_pair_forms in _survivors"] == calls["_survivors"]
+    assert calls["_pair_forms in _accept_batch"] == (calls["expanding"] if n == 3 else 0)
+    if n == 4:
+        assert calls["_survivors"] == calls["_survivors in _accept_batch"] == calls["_accept_batch"]
         assert calls["_completions"] < calls["_accept_batch"]
+        # a batch with no child left skips the canonicality test
+        assert calls["_canonical_children in _survivors"] < calls["_survivors"]
+    else:
+        assert calls["_survivors in _accept_batch"] == 0
+    assert (calls["_survivors"] > 0) == (n > 1)
 
 
 def test_an_enumeration_is_not_bounded(monkeypatch):
+    # every batch filters its children, by canonicality alone, and builds
+    # its bilinear forms only when some completion passes column n-2
     calls = _count_calls(monkeypatch)
     enumerate_classes(ClassQuery(4, 3, 3, thread_budget=1))
-    assert calls["_accept_batch"] == calls["_pair_forms"] == calls["_completions"] > 0
+    assert calls["_accept_batch"] == calls["_survivors in _accept_batch"]
+    assert calls["_pair_forms"] == calls["_pair_forms in _accept_batch"] == calls["expanding"] > 0
+    assert calls["expanding"] < calls["_completions"] < calls["_accept_batch"]
     assert calls["_beta_reach"] == 0
+
+
+@pytest.mark.parametrize("mode", ["zerofree", "unrestricted"])
+def test_canonicality_sees_only_the_children_the_bound_keeps(monkeypatch, mode):
+    # each final-depth batch bounds its children first; the canonicality
+    # test then gets exactly the children whose bound reaches the best at
+    # the start of the batch, in search order
+    n, bounded, seen = 4, [], collections.Counter()
+
+    def reach(alpha, zmap, forms, cand, grown):
+        out = _beta_reach(alpha, zmap, forms, cand, grown)
+        bounded.append((cand, out))
+        return out
+
+    canonical_children = engine._Generator._canonical_children
+
+    def checked(self, rows, cand):
+        if len(rows) == n - 2:
+            ys, out = bounded[-1]
+            assert np.array_equal(cand, ys[out >= self.best_beta])
+            seen["tested"] += 1
+            seen["children"] += len(cand)
+        return canonical_children(self, rows, cand)
+
+    monkeypatch.setattr(engine, "_beta_reach", reach)
+    monkeypatch.setattr(engine._Generator, "_canonical_children", checked)
+    res = max_beta_search(n, 2, mode, thread_budget=1)
+    assert res.beta_max == {"zerofree": 26, "unrestricted": 30}[mode]
+    assert seen["tested"] > 0
+    if mode == "unrestricted":
+        # the bound drops children, and whole batches, before the test
+        assert seen["tested"] < len(bounded)
+        assert seen["children"] < sum(len(ys) for ys, _ in bounded)

@@ -263,6 +263,10 @@ MAX_BETA_WITNESSES = [
     (3, "unrestricted", 28, 13740, "0 0 1 1 3 4 1 4 -4"),
     (4, "zerofree", 26, 4970, "1 1 1 2 1 2 2 1 1 2 -2 -2 2 2 -1 2"),
     (4, "unrestricted", 30, 71372, "0 0 1 1 0 1 2 2 1 2 1 -2 1 -2 2 -2"),
+    (2, "zerofree", 3, 12, "1 1 2 3"),
+    (2, "unrestricted", 3, 39, "0 1 1 3"),
+    (2, "zerofree", 5, 38, "1 1 4 5"),
+    (2, "unrestricted", 5, 99, "0 1 1 5"),
     # alpha = 1: the zerofree floor pass finds no leaf, so the floor is 0
     (2, "unrestricted", 1, 9, "0 1 1 0"),
     (3, "unrestricted", 2, 75, "0 0 1 0 1 1 1 1 -1"),
@@ -278,6 +282,34 @@ def test_max_beta_witness_regression(n, mode, beta, nodes, witness, threads):
     assert (res.beta_max, res.nodes_explored, res.witness.entries) == (beta, nodes, entries)
     assert res.certified
     assert _is_canonical(entries, n)
+
+
+# (n, alpha, work units of both passes, nodes_explored, witness) of the
+# unrestricted search.  At n <= 3 the units hold n-1 rows, and stage 1 keeps
+# them by the same filter as a final-depth batch: the bound against the
+# floor, then canonicality.  A unit below the floor is never stored or run
+# (parent counts without the stage-1 bound: 56, 8,188 and 19,266 units).
+@pytest.mark.parametrize(
+    "n, alpha, units, nodes, witness",
+    [
+        (3, 2, 49, 555, "0 0 1 0 1 2 1 2 -2"),
+        (3, 5, 5271, 52913, "0 0 1 1 4 5 1 5 -5"),
+        pytest.param(3, 6, 11282, 119953, "0 0 1 1 5 6 1 6 -6", marks=pytest.mark.long_run),
+    ],
+)
+def test_stage_1_runs_no_unit_below_the_floor(monkeypatch, n, alpha, units, nodes, witness):
+    ran = []
+    run_subtree = engine._Generator.run_subtree
+
+    def counted(self, *prefix):
+        ran.append(prefix)
+        return run_subtree(self, *prefix)
+
+    monkeypatch.setattr(engine._Generator, "run_subtree", counted)
+    res = max_beta_search(n, alpha, "unrestricted", thread_budget=1)
+    assert (len(ran), res.nodes_explored) == (units, nodes)
+    assert res.witness.entries == tuple(int(x) for x in witness.split())
+    assert res.certified
 
 
 @pytest.mark.parametrize("mode", ["zerofree", "unrestricted"])
