@@ -87,7 +87,6 @@ import json
 import os
 import tempfile
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import closing
 from dataclasses import asdict, dataclass, field, replace
 from functools import lru_cache
@@ -421,7 +420,8 @@ def _laplace(n: int, a: int, b: int):
 
 def _grow_minors(n: int, k: int, minors: np.ndarray, cols: np.ndarray) -> np.ndarray:
     """Minors of all (k+1)-column subsets for every candidate next row, one
-    row of the result per subset; `cols` holds the candidates as columns.
+    row of the result per subset; `cols` holds the rows as columns, a
+    gathered set of candidates or a contiguous slice of the space.
 
     Each (k+1)-column minor is a signed combination of the parent k-column
     minors, one term per column of the appended row.
@@ -642,7 +642,7 @@ class _Generator:
 
     def _rows(self, idx) -> np.ndarray:
         """Rows idx of the space, as integers."""
-        return self.cols[:, idx].T.astype(np.int64)
+        return np.take(self.cols, idx, axis=1).T.astype(np.int64)
 
     def _in_order(self, at, c: int) -> np.ndarray:
         """Whether rows `at` of the space keep columns c, c+1 in structural
@@ -662,28 +662,39 @@ class _Generator:
         two adjacent rows is a group move), so the scan starts at the
         previous row, index `start` of the sorted space.  Columns that agree
         on every filled row must stay in structural order (_in_order, one
-        mask per pair).  The rows that pass these masks are gathered, and
-        their minors come from one (subsets x rows) float64 product, so the
-        cap, zero and gcd tests each fold across whole contiguous rows of
-        it.  The cap and zero tests run first, and the gcd only on the rows
-        that pass them.
+        mask per pair).  The minors come from one (subsets x rows) float64
+        product, so each test folds across whole contiguous rows of it.
+
+        The cheapest test runs before any gather.  At a depth with a Jacobi
+        cap or the zero test, which keep few rows, the product runs on the
+        whole contiguous slice, the cap and zero tests join the masks, and
+        only the minors of the rows that pass all of them are gathered; the
+        slice's rows are rows of the space, so the product stays exact (see
+        _space).  At any other depth nothing tests the minors before the
+        gcd, so the masked rows are gathered first and the product runs on
+        them alone: a product over the slice would cost time and memory for
+        rows the masks drop.  The gcd is taken last, on the rows left.
         """
         n = self.n
         depth = len(rows)
         mask = base_mask[start:].copy()
         for c in _agreeing(rows, n):
             mask &= self._in_order(slice(start, None), c)
-        idx = np.flatnonzero(mask) + start
-        grown = _grow_minors(n, depth, minors, self.cols[:, idx])
         cap = _jacobi_cap(n, depth + 1, self.p.alpha, self.p.beta_cap)
         zero = depth + 1 == n - 1 and self.p.require_zerofree
         if cap is not None or zero:
-            size = np.abs(grown)
-            keep = size.max(axis=0) <= cap if cap is not None else np.ones(len(idx), dtype=bool)
+            grown = _grow_minors(n, depth, minors, self.cols[:, start:])
+            if cap is not None:
+                mask &= grown.max(axis=0) <= cap
+                mask &= grown.min(axis=0) >= -cap
             if zero:
                 # these minors are the last inverse column, up to signs
-                keep &= size.min(axis=0) > 0
-            idx, grown = idx[keep], grown[:, keep]
+                mask &= (grown != 0).all(axis=0)
+            keep = np.flatnonzero(mask)
+            idx, grown = keep + start, np.take(grown, keep, axis=1)
+        else:
+            idx = np.flatnonzero(mask) + start
+            grown = _grow_minors(n, depth, minors, np.take(self.cols, idx, axis=1))
         grown = grown.astype(np.int64)
         keep = np.gcd.reduce(np.abs(grown), axis=0) == 1
         return idx[keep], grown[:, keep].T
@@ -1080,7 +1091,12 @@ def _run_search(
         else:
             cpus = os.cpu_count() or 1
         workers = min(thread_budget, len(todo), cpus)
-        pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+        pool = None
+        if workers > 1:
+            # imported here: it loads multiprocessing, which a serial run never needs
+            from concurrent.futures import ProcessPoolExecutor
+
+            pool = ProcessPoolExecutor(max_workers=workers)
         try:
             units, budgets = (prefixes[i] for i in todo), (budget_left() for _ in todo)
             args = itertools.repeat(params), itertools.repeat(floor), units, budgets

@@ -9,6 +9,7 @@ Python-level computations use plain ints and are exact regardless.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from math import factorial
 
@@ -31,7 +32,9 @@ class IntMatrix:
 
     Entries are bounded so that all minors of size n-1 stay below 2**63:
     (n-1)! * max_abs**(n-1) must fit, which every supported search regime
-    (max_abs <= 64, n <= 8) satisfies with a wide margin.
+    (max_abs <= 64, n <= 8) satisfies with a wide margin.  Entries must be
+    integers: each is stored as an int (operator.index), so numpy integers
+    and bools are converted and floats raise TypeError.
     """
 
     n: int
@@ -40,9 +43,11 @@ class IntMatrix:
     def __post_init__(self):
         if not 1 <= self.n <= MAX_DIM:
             raise RegimeError(f"dimension {self.n} outside supported range 1..{MAX_DIM}")
-        if len(self.entries) != self.n * self.n:
-            raise ValueError(f"expected {self.n * self.n} entries, got {len(self.entries)}")
-        amax = max((abs(e) for e in self.entries), default=0)
+        entries = tuple(map(operator.index, self.entries))
+        object.__setattr__(self, "entries", entries)
+        if len(entries) != self.n * self.n:
+            raise ValueError(f"expected {self.n * self.n} entries, got {len(entries)}")
+        amax = max(map(abs, entries), default=0)
         if amax > MAX_ENTRY:
             raise RegimeError(f"entry magnitude {amax} exceeds {MAX_ENTRY}")
         if factorial(self.n - 1) * max(amax, 1) ** (self.n - 1) > _INT64_MAX:
@@ -52,7 +57,7 @@ class IntMatrix:
 
     @classmethod
     def from_rows(cls, rows) -> "IntMatrix":
-        rows = [tuple(int(x) for x in r) for r in rows]
+        rows = [tuple(r) for r in rows]
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise ValueError("rows must form a square matrix")

@@ -1,5 +1,6 @@
 """Search engine: class enumeration, scans, extremal searches, checkpoints."""
 
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -713,7 +714,7 @@ def test_one_unit_starts_no_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a process pool was started")
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
     result = enumerate_classes(ClassQuery(1, 1, 1, thread_budget=2))
     assert result.complete and result.total_count == 1
 
@@ -739,7 +740,7 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, cpus, affinity, st
             return fut
 
     serial = enumerate_classes(ClassQuery(3, 3, 5, thread_budget=1))
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialExecutor)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialExecutor)
     monkeypatch.setattr(engine.os, "cpu_count", lambda: cpus)
     if affinity is None:
         monkeypatch.delattr(engine.os, "sched_getaffinity", raising=False)
@@ -780,6 +781,18 @@ def test_a_search_without_checkpoint_leaves_openssl_unloaded():
         "import sys; from zerofree import enumerate_classes, ClassQuery; "
         "enumerate_classes(ClassQuery(3, 3, 3, thread_budget=1)); "
         "print('hashlib' in sys.modules)"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_importing_zerofree_leaves_multiprocessing_unloaded():
+    # only a search that starts a pool loads it
+    code = (
+        "import sys, zerofree; "
+        "print(any(m in sys.modules for m in ('multiprocessing', 'concurrent.futures.process')))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)

@@ -2,8 +2,10 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from zerofree.canonical import canonical_form
 from zerofree.matrix import (
     ClassStats,
     IntMatrix,
@@ -183,6 +185,29 @@ def test_rejects_minor_overflow_regime():
 def test_square_count_enforced():
     with pytest.raises(ValueError):
         IntMatrix(2, (1, 2, 3))
+
+
+@pytest.mark.parametrize("entries", [(2.5, 1, 1, 1), (2.0, 1, 1, 1)], ids=["2.5", "2.0"])
+def test_float_entries_are_rejected(entries):
+    with pytest.raises(TypeError):
+        IntMatrix(2, entries)
+    with pytest.raises(TypeError):
+        IntMatrix.from_rows([entries[:2], entries[2:]])
+
+
+def test_numpy_integer_entries_are_stored_as_ints():
+    m = IntMatrix(2, tuple(np.array([2, 1, 1, 1])))
+    assert all(type(e) is int for e in m.entries)
+    assert m == IntMatrix(2, (2, 1, 1, 1))
+    stats = classify(m)
+    assert all(type(v) is int for v in (stats.alpha, stats.beta, stats.det_sign))
+    assert canonical_form(m) == canonical_form(IntMatrix(2, (2, 1, 1, 1)))
+
+
+def test_bool_entries_are_stored_as_ints():
+    m = IntMatrix(2, (True, False, False, True))
+    assert all(type(e) is int for e in m.entries)
+    assert m == IntMatrix.identity(2) and hash(m) == hash(IntMatrix.identity(2))
 
 
 def test_from_rows_rejects_ragged_rows():
