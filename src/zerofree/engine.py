@@ -62,10 +62,11 @@ row x once the next row is fixed, so its largest magnitude over the box
 [-alpha, alpha]^n is alpha times the 1-norm of its coefficients
 (_beta_reach, from the prefix forms built once).  One filter
 (_Generator._survivors) keeps the children of such a prefix: it drops every
-child strictly below the running best, which starts at a floor, and tests
-canonicality on the children left only.  Both tests are per child against
-the best at the start, so their order changes no survivor, and ties survive,
-so the answer and its witness do not change.
+child strictly below the running best, which starts at the search's floor
+(_SearchParams.floor), and tests canonicality on the children left only.
+Both tests are per child against the best at the start, so their order
+changes no survivor, and ties survive, so the answer and its witness do not
+change.
 
 The structural order of candidate rows is the zero-first order of
 canonical.entry_key, at the width the entry bound alpha needs; see the
@@ -84,11 +85,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 import os
+import re
 import tempfile
 import time
 from contextlib import closing
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb, factorial
 
@@ -141,8 +144,16 @@ def default_thread_budget() -> int:
 
 def _check_search_regime(
     n: int, alpha: int, thread_budget: int | None, node_limit: int | None
-) -> None:
-    """Limits every search shares: dimension, entry bound, workers, node limit."""
+) -> tuple[int, int, int | None, int | None]:
+    """Limits every search shares: dimension, entry bound, workers, node limit.
+
+    Returns the four as ints (operator.index): numpy integers are converted
+    and floats raise TypeError.
+    """
+    n, alpha = operator.index(n), operator.index(alpha)
+    thread_budget, node_limit = (
+        None if v is None else operator.index(v) for v in (thread_budget, node_limit)
+    )
     if not 1 <= n <= MAX_SEARCH_DIM:
         raise RegimeError(f"search supports 1 <= n <= {MAX_SEARCH_DIM}")
     if not 1 <= alpha <= MAX_SEARCH_ALPHA:
@@ -151,6 +162,7 @@ def _check_search_regime(
         raise ValueError("thread_budget must be positive")
     if node_limit is not None and node_limit < 1:
         raise ValueError("node_limit must be positive")
+    return n, alpha, thread_budget, node_limit
 
 
 def theoretical_beta_bound(n: int) -> int:
@@ -172,6 +184,9 @@ class ClassQuery:
     `node_limit` truncates the search to the longest prefix of its work
     units, in unit order, whose nodes fit the limit; the truncated result
     is the same for every `thread_budget`, in a fresh or a resumed run.
+
+    Every number is stored as an int (operator.index): numpy integers are
+    converted and floats raise TypeError.
     """
 
     n: int
@@ -184,7 +199,14 @@ class ClassQuery:
     long_run: bool = False
 
     def __post_init__(self):
-        _check_search_regime(self.n, self.alpha, self.thread_budget, self.node_limit)
+        checked = _check_search_regime(self.n, self.alpha, self.thread_budget, self.node_limit)
+        if isinstance(self.beta, tuple):
+            beta = tuple(map(operator.index, self.beta))
+        else:
+            beta = operator.index(self.beta)
+        names = ("n", "alpha", "thread_budget", "node_limit", "beta")
+        for name, value in zip(names, (*checked, beta)):
+            object.__setattr__(self, name, value)
         lo, hi = self.beta_range
         if lo > hi:
             raise ValueError("empty beta range")
@@ -274,7 +296,7 @@ class SearchCheckpoint:
             not newline
             or set(header) != {"format_version", "query", "total_units"}
             or not isinstance(header["query"], dict)
-            or not isinstance(header["total_units"], int)
+            or type(header["total_units"]) is not int
         ):
             raise CheckpointError("malformed checkpoint header")
         *lines, tail = body.split("\n")
@@ -296,12 +318,44 @@ class SearchCheckpoint:
                 raise CheckpointError(
                     f"checkpoint digest mismatch on line {lineno} (file corrupted?)"
                 )
-            if not isinstance(index, int) or not 0 <= index < cp.total_units:
+            if type(index) is not int or not _is_payload(payload):
+                raise CheckpointError(f"malformed work unit on checkpoint line {lineno}")
+            if not 0 <= index < cp.total_units:
                 raise CheckpointError(f"checkpoint unit {index!r} out of range on line {lineno}")
             if index in cp.completed:
                 raise CheckpointError(f"checkpoint unit {index} repeated on line {lineno}")
             cp.completed[index] = payload
         return cp
+
+
+def _is_payload(payload) -> bool:
+    """Whether a journaled payload has a work unit's form: {"nodes": a
+    count, "found": {"alpha,beta": [[entries, positive, det], ...]}}, with
+    int entries and det +-1.  The digest is plain sha256, which any writer
+    can match, so only this check keeps a malformed record out."""
+    if not isinstance(payload, dict) or set(payload) != {"nodes", "found"}:
+        return False
+    nodes, found = payload["nodes"], payload["found"]
+    if type(nodes) is not int or nodes < 0 or not isinstance(found, dict):
+        return False
+    return all(
+        re.fullmatch(r"[0-9]+,[0-9]+", key) and isinstance(hits, list) and all(map(_is_hit, hits))
+        for key, hits in found.items()
+    )
+
+
+def _is_hit(hit) -> bool:
+    """Whether `hit` is [list of ints, bool, +-1]."""
+    if not isinstance(hit, list) or len(hit) != 3:
+        return False
+    entries, positive, det = hit
+    return (
+        isinstance(entries, list)
+        and all(type(x) is int for x in entries)
+        and type(positive) is bool
+        and type(det) is int
+        and det in (1, -1)
+    )
 
 
 def _record_digest(index: int, payload: dict) -> str:
@@ -556,15 +610,34 @@ def _beta_reach(alpha: int, zmap, forms, cand: np.ndarray, grown: np.ndarray) ->
 
 @dataclass
 class _SearchParams:
+    """One search, all a work unit's payload depends on: a zerofree search
+    admits no zero entry in the matrix or its inverse, and a value-only
+    search (no beta cap) starts its running best at `floor`."""
+
     n: int
     alpha: int
     beta_cap: int | None
-    zeros_allowed: bool
-    positive_only: bool
-    require_zerofree: bool
+    zerofree: bool
+    positive_only: bool = False
+    floor: int = 0
 
     def space_key(self):
-        return (self.n, self.alpha, self.zeros_allowed, self.positive_only)
+        return (self.n, self.alpha, not self.zerofree, self.positive_only)
+
+    def query(self) -> dict:
+        """The journal header's query, in the keys of format version 2.
+
+        `floor` is left out: only enumerations keep a journal, and their
+        floor is 0.
+        """
+        return {
+            "n": self.n,
+            "alpha": self.alpha,
+            "beta_cap": self.beta_cap,
+            "positive_only": self.positive_only,
+            "zeros_allowed": not self.zerofree,
+            "require_zerofree": self.zerofree,
+        }
 
 
 class _NodeBudget(Exception):
@@ -587,24 +660,25 @@ def _is_canonical(entries, n: int) -> bool:
 class _Generator:
     """Depth-first orderly search.
 
-    Kept leaves go into `found`, bucketed by their attained (alpha, beta),
-    as (entries, positive, det) in search order.  An enumeration keeps its
-    canonical leaves.  A value-only search (no beta cap) keeps the leaves
-    that attain alpha and `best_beta`, the largest beta met so far: its
-    bucket is the only one.  `best_beta` starts at `floor`, a beta some leaf
-    of the search is known to reach, and children whose bound is below it
-    are skipped.  More than `budget` nodes raise _NodeBudget.
+    Kept leaves go into `found`, bucketed under "alpha,beta" by their
+    attained maxima, as [entries, positive, det] in search order: the form
+    of a work unit's payload.  An enumeration keeps its canonical leaves.
+    A value-only search (no beta cap) keeps the leaves that attain alpha
+    and `best_beta`, the largest beta met so far: its bucket is the only
+    one.  `best_beta` starts at the search's `floor`, a beta some leaf of
+    the search is known to reach, and children whose bound is below it are
+    skipped.  More than `budget` nodes raise _NodeBudget.
     """
 
-    def __init__(self, params: _SearchParams, floor: int = 0, budget: int | None = None):
+    def __init__(self, params: _SearchParams, budget: int | None = None):
         self.p = params
         self.n = params.n
         self.cols, self.keys_arr, self.packed, self.rowmin = _space(*params.space_key())
         self.big = key_big(params.alpha)
         self.nodes = 0
         self.budget = budget
-        self.found: dict[tuple[int, int], list] = {}
-        self.best_beta = floor
+        self.found: dict[str, list] = {}
+        self.best_beta = params.floor
 
     def _canonical_children(self, rows, cand: np.ndarray) -> np.ndarray:
         """Which children rows + [r], r a row of `cand`, are prefix-canonical.
@@ -681,7 +755,7 @@ class _Generator:
         for c in _agreeing(rows, n):
             mask &= self._in_order(slice(start, None), c)
         cap = _jacobi_cap(n, depth + 1, self.p.alpha, self.p.beta_cap)
-        zero = depth + 1 == n - 1 and self.p.require_zerofree
+        zero = depth + 1 == n - 1 and self.p.zerofree
         if cap is not None or zero:
             grown = _grow_minors(n, depth, minors, self.cols[:, start:])
             if cap is not None:
@@ -704,7 +778,7 @@ class _Generator:
         and `high`, pass the zero and beta-cap tests."""
         cap = self.p.beta_cap
         keep = high <= cap if cap is not None else np.ones(len(high), dtype=bool)
-        if self.p.require_zerofree:
+        if self.p.zerofree:
             keep &= low > 0
         return keep
 
@@ -909,9 +983,9 @@ class _Generator:
         else:
             kept = np.flatnonzero(self._canonical_children(rows, cand))
         for pos in kept:
-            entries = tuple(prefix + cand[pos].tolist())
-            self.found.setdefault((int(attained[pos]), int(betas[pos])), []).append(
-                (entries, min(entries) > 0, int(dets[pos]))
+            entries = prefix + cand[pos].tolist()
+            self.found.setdefault(f"{attained[pos]},{betas[pos]}", []).append(
+                [entries, min(entries) > 0, int(dets[pos])]
             )
 
     def _base_mask(self, first: int | None) -> np.ndarray:
@@ -984,26 +1058,21 @@ class _Generator:
 
     def payload(self) -> dict:
         """This search's result as a JSON-ready work-unit record."""
-        return {
-            "nodes": self.nodes,
-            "found": {
-                f"{a},{b}": [[list(e), pos, det] for e, pos, det in hits]
-                for (a, b), hits in self.found.items()
-            },
-        }
+        return {"nodes": self.nodes, "found": self.found}
 
 
 # --------------------------------------------------------------------------
 # work units, checkpoints, merging
 
 
-def _run_unit(params: _SearchParams, floor: int, prefix, budget) -> dict | None:
+def _run_unit(params: _SearchParams, prefix, budget) -> dict | None:
     """Search below one stored prefix and return the unit's payload.
 
-    The single unit function of serial and pool runs; returns None once
-    more than `budget` nodes are spent.
+    The single unit function of serial and pool runs; a value-only unit
+    starts from params.floor.  Returns None once more than `budget` nodes
+    are spent.
     """
-    gen = _Generator(params, floor, budget)
+    gen = _Generator(params, budget)
     try:
         gen.run_subtree(*prefix)
     except _NodeBudget:
@@ -1022,17 +1091,14 @@ def _merge_units(unit_payloads) -> dict[tuple[int, int], list]:
     buckets: dict[tuple[int, int], list] = {}
     for payload in unit_payloads:
         for key, hits in payload["found"].items():
-            a, b = (int(x) for x in key.split(","))
-            dest = buckets.setdefault((a, b), [])
-            for entries, positive, det in hits:
-                dest.append((tuple(entries), bool(positive), int(det)))
+            a, b = map(int, key.split(","))
+            buckets.setdefault((a, b), []).extend(hits)
     return buckets
 
 
 def _run_search(
     params: _SearchParams,
     *,
-    floor: int = 0,
     thread_budget: int = 1,
     node_limit: int | None = None,
     checkpoint_path: str | None = None,
@@ -1049,8 +1115,8 @@ def _run_search(
     unit's budget when the loop asks for it; Executor.map reads every budget
     at submission.  A pool starts for two units or more, with at most one
     worker per CPU the process may run on.  Kept units are merged in unit
-    order into (alpha, beta) buckets.  `floor` starts a value-only search's
-    running best; it is not part of a checkpoint query, and only
+    order into (alpha, beta) buckets.  A value-only search's running best
+    starts at params.floor, which the journal's query leaves out: only
     enumerations pass a checkpoint.
     """
     if resume:
@@ -1058,9 +1124,9 @@ def _run_search(
         if checkpoint_path is None:
             raise CheckpointError("resume requested without a checkpoint file")
         cp = load_checkpoint(checkpoint_path)
-        if cp.query != asdict(params):
+        if cp.query != params.query():
             raise CheckpointError("checkpoint belongs to a different query")
-    gen = _Generator(params, floor, node_limit)
+    gen = _Generator(params, node_limit)
     try:
         prefixes = gen.run_prefixes(min(2, params.n - 1))
     except _NodeBudget:
@@ -1073,7 +1139,7 @@ def _run_search(
             # cut the torn last write, so the next record starts its own line
             os.truncate(checkpoint_path, os.path.getsize(checkpoint_path) - cp.torn_tail)
     else:
-        cp = SearchCheckpoint(CHECKPOINT_VERSION, asdict(params), len(prefixes), {})
+        cp = SearchCheckpoint(CHECKPOINT_VERSION, params.query(), len(prefixes), {})
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, cp)
     journal = cp.completed
@@ -1099,7 +1165,7 @@ def _run_search(
             pool = ProcessPoolExecutor(max_workers=workers)
         try:
             units, budgets = (prefixes[i] for i in todo), (budget_left() for _ in todo)
-            args = itertools.repeat(params), itertools.repeat(floor), units, budgets
+            args = itertools.repeat(params), units, budgets
             yield from zip(todo, (pool.map if pool else map)(_run_unit, *args))
         finally:
             if pool is not None:
@@ -1160,14 +1226,7 @@ def _search_classes(q: ClassQuery, **run):
     """
     _gate(q)
     lo, hi = q.beta_range
-    params = _SearchParams(
-        n=q.n,
-        alpha=q.alpha,
-        beta_cap=hi,
-        zeros_allowed=False,
-        positive_only=q.positive_only,
-        require_zerofree=True,
-    )
+    params = _SearchParams(q.n, q.alpha, hi, zerofree=True, positive_only=q.positive_only)
     raw = _run_search(
         params,
         thread_budget=q.thread_budget or default_thread_budget(),
@@ -1294,7 +1353,9 @@ def max_beta_search(
     """
     if mode not in ("zerofree", "unrestricted"):
         raise ValueError("mode must be 'zerofree' or 'unrestricted'")
-    _check_search_regime(n, alpha, thread_budget, node_limit)
+    n, alpha, thread_budget, node_limit = _check_search_regime(
+        n, alpha, thread_budget, node_limit
+    )
     if n > 5:
         if not best_effort:
             raise TierGateError(
@@ -1303,21 +1364,14 @@ def max_beta_search(
             )
         if node_limit is None:
             raise TierGateError("best-effort search requires a node_limit")
-    params = _SearchParams(
-        n=n,
-        alpha=alpha,
-        beta_cap=None,
-        zeros_allowed=(mode == "unrestricted"),
-        positive_only=False,
-        require_zerofree=(mode == "zerofree"),
-    )
+    params = _SearchParams(n, alpha, None, zerofree=(mode == "zerofree"))
     thread_budget = thread_budget or default_thread_budget()
-    floor, floor_nodes = 0, 0
+    floor_nodes = 0
     if mode == "unrestricted" and node_limit is None:
-        zerofree = replace(params, zeros_allowed=False, require_zerofree=True)
-        floor_run = _run_search(zerofree, thread_budget=thread_budget)
-        floor, floor_nodes = max((b for _, b in floor_run.buckets), default=0), floor_run.nodes
-    raw = _run_search(params, floor=floor, thread_budget=thread_budget, node_limit=node_limit)
+        floor_run = _run_search(replace(params, zerofree=True), thread_budget=thread_budget)
+        params = replace(params, floor=max((b for _, b in floor_run.buckets), default=0))
+        floor_nodes = floor_run.nodes
+    raw = _run_search(params, thread_budget=thread_budget, node_limit=node_limit)
     beta_max = max((b for _, b in raw.buckets), default=0)
     if not raw.complete and (not beta_max or not best_effort):
         raise IncompleteSearchError("search stopped early; rerun with a larger budget")

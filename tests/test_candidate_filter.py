@@ -24,7 +24,7 @@ def gather_first_candidates(gen, rows, minors, base_mask, start):
     idx = np.flatnonzero(mask) + start
     grown = _grow_minors(n, depth, minors, gen.cols[:, idx])
     cap = _jacobi_cap(n, depth + 1, gen.p.alpha, gen.p.beta_cap)
-    zero = depth + 1 == n - 1 and gen.p.require_zerofree
+    zero = depth + 1 == n - 1 and gen.p.zerofree
     if cap is not None or zero:
         size = np.abs(grown)
         keep = size.max(axis=0) <= cap if cap is not None else np.ones(len(idx), dtype=bool)
@@ -52,7 +52,7 @@ def _compare_filters(monkeypatch, search) -> set[str]:
         depth = len(rows)
         tested = (
             _jacobi_cap(gen.n, depth + 1, gen.p.alpha, gen.p.beta_cap) is not None
-            or (depth + 1 == gen.n - 1 and gen.p.require_zerofree)
+            or (depth + 1 == gen.n - 1 and gen.p.zerofree)
         )
         branches.add("test" if tested else "gather")
         return got

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -313,6 +314,22 @@ def test_checkpoint_flow(capsys, tmp_path):
     )
     assert code == 0
     assert out1 == out2
+
+
+def test_a_malformed_journal_record_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "run.ckpt"
+    argv = ["enumerate", "--n", "2", "--alpha", "3", "--beta", "3", "--checkpoint", str(path)]
+    assert run(capsys, *argv)[0] == 0
+    # unit 1 without its node count, under a digest that matches
+    body = {"index": 1, "payload": {"found": {}}}
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    lines = path.read_text().splitlines(keepends=True)
+    lines[2] = json.dumps({"digest": digest, **body}, sort_keys=True) + "\n"
+    path.write_text("".join(lines))
+    code, out, err = run(capsys, *argv, "--resume")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "line 3" in err
 
 
 @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])

@@ -333,11 +333,11 @@ def test_value_only_unit_payload_is_one_bucket_in_search_order(mode):
     # a search with no beta cap keeps, per unit, the leaves tied at its best
     # beta, as one "alpha,beta" bucket of (entries, positive, det)
     n, alpha = 3, 2
-    p = _SearchParams(n, alpha, None, mode == "unrestricted", False, mode == "zerofree")
+    p = _SearchParams(n, alpha, None, zerofree=(mode == "zerofree"))
     best = max_beta_search(n, alpha, mode).beta_max
     betas = []
     for prefix in _Generator(p).run_prefixes(2):
-        payload = engine._run_unit(p, 0, prefix, None)
+        payload = engine._run_unit(p, prefix, None)
         assert set(payload) == {"nodes", "found"}
         assert len(payload["found"]) <= 1
         for key, hits in payload["found"].items():
@@ -351,7 +351,7 @@ def test_value_only_unit_payload_is_one_bucket_in_search_order(mode):
             assert keys == sorted(keys) and len(set(map(tuple, keys))) == len(keys)
             betas.append(beta)
         # a unit starting from a floor above every beta keeps nothing
-        assert engine._run_unit(p, best + 1, prefix, None)["found"] == {}
+        assert engine._run_unit(replace(p, floor=best + 1), prefix, None)["found"] == {}
     assert max(betas) == best
 
 
@@ -475,6 +475,43 @@ def test_an_empty_beta_range_is_rejected():
         ClassQuery(3, 3, (5, 3))
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: ClassQuery(3, 3, 5.5),
+        lambda: ClassQuery(3, 3, (2, 5.0)),
+        lambda: ClassQuery(3, 3.0, 5),
+        lambda: ClassQuery(3.0, 3, 5),
+        lambda: ClassQuery(3, 3, 5, node_limit=10.5),
+        lambda: ClassQuery(3, 3, 5, thread_budget=1.0),
+        lambda: max_beta_search(3, 2.0),
+        lambda: max_beta_search(3.0, 2),
+        lambda: max_beta_search(3, 2, best_effort=True, node_limit=10.5),
+    ],
+    ids=[
+        "beta", "beta-range", "alpha", "n", "node-limit", "threads",
+        "max-beta-alpha", "max-beta-n", "max-beta-node-limit",
+    ],
+)
+def test_float_search_parameters_are_rejected_before_any_search(monkeypatch, call):
+    def searched(*args, **kwargs):
+        raise AssertionError("a float parameter reached the search")
+
+    monkeypatch.setattr(engine, "_run_search", searched)
+    with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+        call()
+
+
+def test_numpy_integer_search_parameters_are_stored_as_ints():
+    beta = (np.int32(2), np.int32(5))
+    q = ClassQuery(np.int64(3), np.int64(3), beta, node_limit=np.int64(10**6))
+    assert (q.n, q.alpha, q.beta, q.node_limit) == (3, 3, (2, 5), 10**6)
+    assert all(type(v) is int for v in (q.n, q.alpha, *q.beta, q.node_limit))
+    plain = enumerate_classes(ClassQuery(3, 3, (2, 5)))
+    assert [c.rep for c in enumerate_classes(q).classes] == [c.rep for c in plain.classes]
+    assert max_beta_search(np.int64(3), np.int64(2)) == max_beta_search(3, 2)
+
+
 @pytest.mark.parametrize("zeros", [False, True])
 @pytest.mark.parametrize("alpha", [2, 3])
 @pytest.mark.parametrize("n", range(1, 8))
@@ -517,7 +554,7 @@ def _final_depth_reference(p: _SearchParams, space, rows):
     equal_cols = [c for c in range(n - 1) if all(r[c] == r[c + 1] for r in rows)]
 
     def fails(magnitudes):
-        return (p.require_zerofree and min(magnitudes) == 0) or (
+        return (p.zerofree and min(magnitudes) == 0) or (
             p.beta_cap is not None and max(magnitudes) > p.beta_cap
         )
 
@@ -555,8 +592,8 @@ def _found_reference(p: _SearchParams, value_only: bool, leaves):
     found = {}
     for m, d, beta in leaves:
         if value_only or canonical_form(m) == m:
-            key = (max(map(abs, m.entries)), beta)
-            found.setdefault(key, []).append((m.entries, min(m.entries) > 0, d))
+            key = f"{max(map(abs, m.entries))},{beta}"
+            found.setdefault(key, []).append([list(m.entries), min(m.entries) > 0, d])
     return found
 
 
@@ -605,7 +642,7 @@ def _final_depth_engine(p: _SearchParams, prefix):
 )
 def test_final_depth_matches_leaves_computed_one_by_one(n, alpha, beta_cap, zeros, value_only):
     # a search with no beta cap is the value-only search
-    p = _SearchParams(n, alpha, beta_cap, zeros, False, require_zerofree=not zeros)
+    p = _SearchParams(n, alpha, beta_cap, zerofree=not zeros)
     values = ([0] if zeros else []) + [v for a in range(1, alpha + 1) for v in (a, -a)]
     space = [(r, _keys(r), sorted(map(abs, r))) for r in itertools.product(values, repeat=n)]
     space.sort(key=lambda entry: entry[1])
@@ -944,6 +981,27 @@ def _record_not_an_object(lines):
     lines[1] = json.dumps([json.loads(lines[1])]) + "\n"
 
 
+# Records with a valid digest but not a work unit's form replace unit 1.
+def _index_a_bool(lines):
+    lines[2] = _unit_record(True, json.loads(lines[1])["payload"])
+
+
+def _header_total_units_a_bool(lines):
+    del lines[2:]
+    lines[0] = lines[0].replace('"total_units": 4', '"total_units": true')
+
+
+def _malformed_payload(payload):
+    def corrupt(lines):
+        lines[2] = _unit_record(1, payload)
+
+    return corrupt
+
+
+def _malformed_hit(hit):
+    return _malformed_payload({"found": {"3,3": [hit]}, "nodes": 4})
+
+
 @pytest.mark.parametrize(
     "corrupt",
     [
@@ -959,6 +1017,32 @@ def _record_not_an_object(lines):
         _header_a_json_array,
         _record_without_digest,
         _record_not_an_object,
+        _index_a_bool,
+        _header_total_units_a_bool,
+        *(
+            pytest.param(_malformed_payload(payload), id=name)
+            for name, payload in [
+                ("_negative_nodes", {"found": {}, "nodes": -100}),
+                ("_nodes_a_bool", {"found": {}, "nodes": True}),
+                ("_payload_without_nodes", {"found": {}}),
+                ("_payload_extra_key", {"found": {}, "nodes": 4, "wall": 0}),
+                ("_payload_a_json_array", []),
+                ("_found_a_json_array", {"found": [], "nodes": 4}),
+                ("_bucket_key_not_two_ints", {"found": {"x": []}, "nodes": 4}),
+                ("_bucket_key_three_ints", {"found": {"3,3,3": []}, "nodes": 4}),
+                ("_bucket_not_a_list", {"found": {"3,3": {}}, "nodes": 4}),
+            ]
+        ),
+        *(
+            pytest.param(_malformed_hit(hit), id=name)
+            for name, hit in [
+                ("_hit_of_two", [[1, 1, 2, 3], True]),
+                ("_hit_entry_a_float", [[1, 1, 2.0, 3], True, 1]),
+                ("_hit_positive_an_int", [[1, 1, 2, 3], 1, 1]),
+                ("_hit_det_2", [[1, 1, 2, 3], True, 2]),
+                ("_hit_det_a_bool", [[1, 1, 2, 3], True, True]),
+            ]
+        ),
     ],
 )
 def test_journal_corruption_is_not_a_torn_tail(tmp_path, corrupt):

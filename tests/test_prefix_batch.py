@@ -20,7 +20,7 @@ def _values(alpha, zeros):
 
 
 def _generator(n, alpha, zeros):
-    return _Generator(_SearchParams(n, alpha, None, zeros, False, False))
+    return _Generator(_SearchParams(n, alpha, None, zerofree=not zeros))
 
 
 def _check(n, alpha, zeros, rows, cand):

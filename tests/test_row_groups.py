@@ -185,7 +185,7 @@ def _run_batches(p, prefixes, wanted):
     ],
 )
 def test_node_counts_match_a_brute_force_count(n, alpha, beta_cap, zeros, wanted, moving):
-    p = _SearchParams(n, alpha, beta_cap, zeros, False, require_zerofree=not zeros)
+    p = _SearchParams(n, alpha, beta_cap, zerofree=not zeros)
     prefixes = _Generator(p).run_prefixes(n - 2)
     def repeats_a_pair(unit):
         return any(all(r[c] == r[c + 1] for r in unit[0]) for c in range(n - 1))
@@ -232,7 +232,7 @@ def test_first_three_units_of_the_5_2_value_search_with_zeros(thread_budget):
     # structural order: 252 of the 2,565 final-depth children of these units
     # do.  The digest of the kept buckets was taken before the order joined
     # the group keys.
-    p = _SearchParams(5, 2, None, True, False, False)
+    p = _SearchParams(5, 2, None, zerofree=False)
     result = _run_search(p, thread_budget=thread_budget, stop_after_units=3)
     assert result.nodes == 540_623
     assert not result.complete
