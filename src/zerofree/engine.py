@@ -219,18 +219,6 @@ class ClassQuery:
             return self.beta
         return (self.beta, self.beta)
 
-    @property
-    def tier(self) -> int:
-        lo, hi = self.beta_range
-        if self.n <= 3:
-            return 1
-        if self.n == 4:
-            if self.alpha <= 2:
-                return 2
-            if self.alpha == 3 and (lo, hi) == (3, 3):
-                return 2
-        return 3
-
 
 @dataclass(frozen=True)
 class EnumerationResult:
@@ -260,7 +248,8 @@ class SearchCheckpoint:
     line that is not JSON.  from_json drops it and counts its characters in
     `torn_tail`.  Any other
     malformed line, a digest mismatch, a repeated unit or a unit index out
-    of range is an error.
+    of range is an error, and so is a leaf that cannot be a leaf of the
+    header's query; a resume then requires that query to be its own.
     """
 
     format_version: int
@@ -295,7 +284,7 @@ class SearchCheckpoint:
         if (
             not newline
             or set(header) != {"format_version", "query", "total_units"}
-            or not isinstance(header["query"], dict)
+            or not _is_query(header["query"])
             or type(header["total_units"]) is not int
         ):
             raise CheckpointError("malformed checkpoint header")
@@ -324,8 +313,25 @@ class SearchCheckpoint:
                 raise CheckpointError(f"checkpoint unit {index!r} out of range on line {lineno}")
             if index in cp.completed:
                 raise CheckpointError(f"checkpoint unit {index} repeated on line {lineno}")
+            if not all(_are_leaves(cp.query, key, hits) for key, hits in payload["found"].items()):
+                raise CheckpointError(
+                    f"checkpoint unit {index} on line {lineno} holds a leaf outside its query"
+                )
             cp.completed[index] = payload
         return cp
+
+
+def _is_query(query) -> bool:
+    """Whether a header's query has the keys and value types that
+    _SearchParams.query writes."""
+    ints, flags = ("n", "alpha"), ("positive_only", "zeros_allowed", "require_zerofree")
+    return (
+        isinstance(query, dict)
+        and set(query) == {*ints, "beta_cap", *flags}
+        and all(type(query[k]) is int for k in ints)
+        and type(query["beta_cap"]) in (int, type(None))
+        and all(type(query[k]) is bool for k in flags)
+    )
 
 
 def _is_payload(payload) -> bool:
@@ -355,6 +361,25 @@ def _is_hit(hit) -> bool:
         and type(positive) is bool
         and type(det) is int
         and det in (1, -1)
+    )
+
+
+def _are_leaves(query: dict, key: str, hits: list) -> bool:
+    """Whether bucket `key` ("alpha,beta") of a work unit's form can hold
+    `hits` as leaves of `query`: the bucket's beta within 1..beta_cap, and
+    each hit n*n entries within alpha, nonzero unless zeros are allowed and
+    none negative under positive_only, with the bucket's alpha their largest
+    magnitude and `positive` telling whether every entry is positive.  No
+    determinant or inverse is taken, so a resume stays cheap."""
+    a, b = map(int, key.split(","))
+    n, alpha, cap = query["n"], query["alpha"], query["beta_cap"]
+    low = 0 if query["positive_only"] else -alpha
+    return (1 <= b and (cap is None or b <= cap)) and all(
+        0 < len(entries) == n * n
+        and all((x or query["zeros_allowed"]) and low <= x <= alpha for x in entries)
+        and max(map(abs, entries)) == a
+        and positive == (min(entries) > 0)
+        for entries, positive, _ in hits
     )
 
 
@@ -649,12 +674,6 @@ def _agreeing(rows, n: int) -> list[int]:
     `rows`: a canonical matrix keeps each such pair in structural order."""
     cols = list(zip(*rows)) or [()] * n  # no rows: every pair agrees
     return [c for c in range(n - 1) if cols[c] == cols[c + 1]]
-
-
-def _is_canonical(entries, n: int) -> bool:
-    """The engine's zero-tolerant canonicality test on a row-major matrix."""
-    rows = [tuple(entries[i * n : (i + 1) * n]) for i in range(n)]
-    return minimize_rows(rows, n, True) is not None
 
 
 class _Generator:
@@ -1192,35 +1211,35 @@ def _run_search(
 
 
 def _gate(query: ClassQuery) -> None:
-    if query.tier >= 3 and not query.long_run and query.node_limit is None:
+    """Refuse a long-running query without long_run or a node limit: quick
+    queries are n <= 3, and n = 4 with alpha <= 2 or (alpha, beta) = (3, 3)."""
+    n, alpha = query.n, query.alpha
+    quick = n <= 3 or (n == 4 and (alpha <= 2 or (alpha, query.beta_range) == (3, (3, 3))))
+    if not quick and not query.long_run and query.node_limit is None:
         raise TierGateError(
             f"query {query.n=} {query.alpha=} {query.beta=} is long-running; "
             "set long_run=True (--long-run) or provide a node_limit"
         )
 
 
-def _classes_from_bucket(n: int, hits) -> list[CanonicalClass]:
-    out = []
-    for (a, b), entries, positive, det in hits:
-        rep = IntMatrix(n, entries)
-        out.append(CanonicalClass(rep, ClassStats(a, b, det, positive)))
-    return out
-
-
-def _select(buckets, alpha: int, beta_lo: int, beta_hi: int):
-    hits = []
-    for (a, b), items in buckets.items():
-        if a == alpha and beta_lo <= b <= beta_hi:
-            for entries, positive, det in items:
-                hits.append(((a, b), entries, positive, det))
-    hits.sort(key=lambda h: [entry_key(x) for x in h[1]])
-    return hits
+def _classes(n: int, buckets, alpha: int, beta_lo: int, beta_hi: int) -> list[CanonicalClass]:
+    """The merged leaves that attain alpha and a beta in beta_lo..beta_hi,
+    as classes in ascending structural order: the one class list every
+    public search reads."""
+    classes = [
+        CanonicalClass(IntMatrix(n, entries), ClassStats(a, b, det, positive))
+        for (a, b), hits in buckets.items()
+        if a == alpha and beta_lo <= b <= beta_hi
+        for entries, positive, det in hits
+    ]
+    classes.sort(key=lambda c: [entry_key(x) for x in c.rep.entries])
+    return classes
 
 
 def _search_classes(q: ClassQuery, **run):
     """The one enumeration search: gate, run and bucket `q`.
 
-    Returns the hits attaining (q.alpha, beta in q's range) in ascending
+    Returns the classes attaining (q.alpha, beta in q's range) in ascending
     structural order, with the raw search result.  `run` passes checkpoint
     and stop arguments through to _run_search.
     """
@@ -1233,15 +1252,15 @@ def _search_classes(q: ClassQuery, **run):
         node_limit=q.node_limit,
         **run,
     )
-    return _select(raw.buckets, q.alpha, lo, hi), raw
+    return _classes(q.n, raw.buckets, q.alpha, lo, hi), raw
 
 
-def _count_by_beta(hits, lo: int, hi: int) -> dict[int, list[int]]:
+def _count_by_beta(classes, lo: int, hi: int) -> dict[int, list[int]]:
     """[class count, positive count] for every beta in lo..hi."""
     counts = {beta: [0, 0] for beta in range(lo, hi + 1)}
-    for (_, beta), _, positive, _ in hits:
-        counts[beta][0] += 1
-        counts[beta][1] += positive
+    for c in classes:
+        counts[c.stats.beta][0] += 1
+        counts[c.stats.beta][1] += c.stats.positive
     return counts
 
 
@@ -1265,16 +1284,14 @@ def enumerate_classes(
     thread budget.
     """
     start = time.perf_counter()
-    hits, raw = _search_classes(
+    classes, raw = _search_classes(
         q, checkpoint_path=checkpoint_path, resume=resume, stop_after_units=_stop_after_units
     )
-    positive_count = sum(1 for h in hits if h[2])
-    classes = () if q.count_only else tuple(_classes_from_bucket(q.n, hits))
     return EnumerationResult(
         query=q,
-        classes=classes,
-        total_count=len(hits),
-        positive_count=positive_count,
+        classes=() if q.count_only else tuple(classes),
+        total_count=len(classes),
+        positive_count=sum(c.stats.positive for c in classes),
         nodes_explored=raw.nodes,
         wall_time=time.perf_counter() - start,
         complete=raw.complete,
@@ -1305,10 +1322,10 @@ def sequence_scan(
         node_limit=node_limit,
         long_run=long_run,
     )
-    hits, raw = _search_classes(q)
+    classes, raw = _search_classes(q)
     if not raw.complete:
         raise IncompleteSearchError("scan hit its node limit; counts would be wrong")
-    return [(beta, count, pos) for beta, (count, pos) in _count_by_beta(hits, lo, hi).items()]
+    return [(beta, count, pos) for beta, (count, pos) in _count_by_beta(classes, lo, hi).items()]
 
 
 @dataclass(frozen=True)
@@ -1380,15 +1397,15 @@ def max_beta_search(
     # A leaf's canonical form is a leaf of the same or an earlier unit, and the
     # finished units are a prefix of the unit order, so the smallest tied leaf
     # is canonical.
-    _, leaf, _, _ = _select(raw.buckets, alpha, beta_max, beta_max)[0]
-    if not _is_canonical(leaf, n):
+    witness = _classes(n, raw.buckets, alpha, beta_max, beta_max)[0].rep
+    if minimize_rows(witness.rows(), n, True) is None:
         raise RuntimeError("the smallest tied leaf is not canonical")
     return MaxBetaResult(
         n=n,
         alpha=alpha,
         mode=mode,
         beta_max=beta_max,
-        witness=IntMatrix(n, leaf),
+        witness=witness,
         certified=raw.complete and n <= 5,
         nodes_explored=floor_nodes + raw.nodes,
     )
@@ -1427,11 +1444,11 @@ def verify_conjecture(conjecture_id: int, *, thread_budget: int | None = None) -
         )
     n, alpha, (lo, hi) = _CONJECTURES[conjecture_id]
     q = ClassQuery(n, alpha, (lo, hi), thread_budget=thread_budget, long_run=True)
-    hits, raw = _search_classes(q)
+    classes, raw = _search_classes(q)
     if not raw.complete:
         raise IncompleteSearchError("conjecture search did not run to completion")
     cases = [
-        (n, alpha, beta, count) for beta, (count, _) in _count_by_beta(hits, lo, hi).items()
+        (n, alpha, beta, count) for beta, (count, _) in _count_by_beta(classes, lo, hi).items()
     ]
     confirmed = all(c[3] == 0 for c in cases)
     return ConjectureReport(

@@ -62,7 +62,7 @@ class MatrixRecord:
 
 
 def format_matrix_line(m: IntMatrix) -> str:
-    return " ".join(str(e) for e in m.entries)
+    return str(m)
 
 
 def parse_matrix_line(

@@ -6,6 +6,7 @@ import json
 import pytest
 
 from zerofree.cli import main
+from zerofree.engine import default_thread_budget
 
 from known_values import DIAGONAL_2X2
 
@@ -280,6 +281,12 @@ def test_empty_thread_variable_counts_as_unset(capsys, monkeypatch):
     assert out.splitlines()[1:] == ["1 1 1 2"]
 
 
+@pytest.mark.parametrize("value, workers", [("2", 2), (" 3 ", 3)])
+def test_a_valid_thread_variable_sets_the_worker_count(monkeypatch, value, workers):
+    monkeypatch.setenv("ZEROFREE_THREADS", value)
+    assert default_thread_budget() == workers
+
+
 def test_thread_variable_is_not_read_when_threads_is_given(capsys, monkeypatch):
     monkeypatch.setenv("ZEROFREE_THREADS", "two")
     code, _, _ = run(
@@ -330,6 +337,21 @@ def test_a_malformed_journal_record_is_a_usage_error(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "line 3" in err
+
+
+def test_a_journaled_leaf_outside_the_query_is_a_usage_error(capsys, tmp_path):
+    path = tmp_path / "forged.ckpt"
+    argv = ["enumerate", "--n", "2", "--alpha", "3", "--beta", "3", "--checkpoint", str(path)]
+    assert run(capsys, *argv)[0] == 0
+    # unit 1 holds a leaf with entries above alpha = 3, under a digest that matches
+    body = {"index": 1, "payload": {"found": {"3,3": [[[9, 9, 9, 9], True, 1]]}, "nodes": 1}}
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    head = "".join(path.read_text().splitlines(keepends=True)[:2])
+    path.write_text(head + json.dumps({"digest": digest, **body}, sort_keys=True) + "\n")
+    code, out, err = run(capsys, *argv, "--resume")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "unit 1" in err
 
 
 @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])

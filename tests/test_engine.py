@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from zerofree import engine
-from zerofree.canonical import canonical_form, entry_key, flatten_key, inverse_class
+from zerofree.canonical import canonical_form, entry_key, flatten_key, inverse_class, minimize_rows
 from zerofree.engine import (
     MAX_SEARCH_ALPHA,
     MAX_SEARCH_DIM,
@@ -24,7 +24,6 @@ from zerofree.engine import (
     IncompleteSearchError,
     TierGateError,
     _Generator,
-    _is_canonical,
     _SearchParams,
     _space,
     enumerate_classes,
@@ -282,7 +281,7 @@ def test_max_beta_witness_regression(n, mode, beta, nodes, witness, threads):
     res = max_beta_search(n, max(map(abs, entries)), mode, thread_budget=threads)
     assert (res.beta_max, res.nodes_explored, res.witness.entries) == (beta, nodes, entries)
     assert res.certified
-    assert _is_canonical(entries, n)
+    assert minimize_rows(res.witness.rows(), n, True) is not None
 
 
 # (n, alpha, work units of both passes, nodes_explored, witness) of the
@@ -457,6 +456,20 @@ def test_tier3_requires_long_run_flag():
     # a node limit is an acceptable substitute
     result = enumerate_classes(ClassQuery(5, 2, 3, node_limit=5))
     assert not result.complete
+
+
+def test_gate_lets_only_quick_queries_run_without_long_run_or_a_node_limit():
+    grid = itertools.product(range(1, 7), (2, 3, 4), ((2, 2), (3, 3), (3, 4), (2, 5)))
+    for n, alpha, beta in grid:
+        q = ClassQuery(n, alpha, beta)
+        quick = n <= 3 or (n == 4 and (alpha <= 2 or (alpha, beta) == (3, (3, 3))))
+        if quick:
+            engine._gate(q)
+        else:
+            with pytest.raises(TierGateError):
+                engine._gate(q)
+        engine._gate(replace(q, long_run=True))
+        engine._gate(replace(q, node_limit=1))
 
 
 def test_infeasible_regimes_rejected():
@@ -998,8 +1011,23 @@ def _malformed_payload(payload):
     return corrupt
 
 
-def _malformed_hit(hit):
-    return _malformed_payload({"found": {"3,3": [hit]}, "nodes": 4})
+def _malformed_hit(hit, key="3,3"):
+    return _malformed_payload({"found": {key: [hit]}, "nodes": 4})
+
+
+# A record of a work unit's form whose leaf cannot be a leaf of the (2,3,3)
+# query replaces unit 1; a header query not of _SearchParams.query's form.
+def _positive_only_header_and_a_negative_leaf(lines):
+    lines[0] = lines[0].replace('"positive_only": false', '"positive_only": true')
+    _malformed_hit([[1, -1, 2, 3], False, 1])(lines)
+
+
+def _header_query_beta_cap_a_string(lines):
+    lines[0] = lines[0].replace('"beta_cap": 3', '"beta_cap": "3"')
+
+
+def _header_query_without_n(lines):
+    lines[0] = lines[0].replace('"n": 2, ', "")
 
 
 @pytest.mark.parametrize(
@@ -1043,6 +1071,25 @@ def _malformed_hit(hit):
                 ("_hit_det_a_bool", [[1, 1, 2, 3], True, True]),
             ]
         ),
+        *(
+            pytest.param(_malformed_hit(hit, key), id=name)
+            for name, key, hit in [
+                ("_leaf_entries_above_alpha", "3,3", [[9, 9, 9, 9], True, 1]),
+                ("_leaf_entry_4_in_bucket_4", "4,3", [[1, 1, 3, 4], True, 1]),
+                ("_leaf_of_three_entries", "3,3", [[1, 2, 3], True, 1]),
+                ("_leaf_of_nine_entries", "3,3", [[1, 1, 1, 1, 1, 1, 1, 2, 3], True, 1]),
+                ("_leaf_with_a_zero", "3,3", [[0, 1, 2, 3], False, 1]),
+                ("_leaf_below_its_bucket_alpha", "3,3", [[1, 1, 1, 2], True, 1]),
+                ("_leaf_above_its_bucket_alpha", "2,3", [[1, 1, 2, 3], True, 1]),
+                ("_leaf_beta_above_the_cap", "3,4", [[1, 1, 2, 3], True, 1]),
+                ("_leaf_beta_0", "3,0", [[1, 1, 2, 3], True, 1]),
+                ("_leaf_positive_entries_flagged_not_positive", "3,3", [[1, 1, 2, 3], False, 1]),
+                ("_leaf_negative_entry_flagged_positive", "3,3", [[1, -1, 2, 3], True, 1]),
+            ]
+        ),
+        _positive_only_header_and_a_negative_leaf,
+        _header_query_beta_cap_a_string,
+        _header_query_without_n,
     ],
 )
 def test_journal_corruption_is_not_a_torn_tail(tmp_path, corrupt):

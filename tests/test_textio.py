@@ -2,6 +2,7 @@
 
 import pytest
 
+import zerofree
 from zerofree.engine import ClassQuery, enumerate_classes
 from zerofree.matrix import IntMatrix, classify
 from zerofree.textio import (
@@ -76,6 +77,26 @@ def test_round_trip_enumeration_output():
     for cls in result.classes:
         line = format_matrix_line(cls.rep)
         assert parse_matrix_line(line) == cls.rep
+
+
+def test_readme_library_block():
+    # the values README's Library example states, through the package's exports
+    m = zerofree.IntMatrix.from_rows([[2, 1], [1, 1]])
+    assert zerofree.canonical_form(m) == zerofree.IntMatrix.from_rows([[1, 1], [1, 2]])
+    assert zerofree.classify(zerofree.canonical_form(m)) == zerofree.ClassStats(2, 2, 1, True)
+    result = zerofree.enumerate_classes(zerofree.ClassQuery(n=3, alpha=3, beta=5))
+    assert [str(c.rep) for c in result.classes] == [
+        "1 1 1 1 2 3 1 -1 -2",
+        "1 1 1 1 2 -1 1 3 -2",
+        "1 1 1 1 2 -2 2 3 -2",
+        "1 1 2 1 2 3 1 -2 -2",
+        "1 2 2 2 2 3 3 1 3",
+        "1 2 2 3 1 2 3 2 3",
+    ]
+    assert all(str(c.rep) == format_matrix_line(c.rep) for c in result.classes)
+    best = zerofree.max_beta_search(3, 2, "unrestricted")
+    assert (best.beta_max, best.certified) == (6, True)
+    assert best.witness.entries == (0, 0, 1, 0, 1, 2, 1, 2, -2)
 
 
 def test_record_json_round_trip():
