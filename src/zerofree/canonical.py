@@ -19,7 +19,7 @@ placement in one is then matched by a placement in the other with the same
 image row, so the merge changes no level's minimum, and so not the result.
 This spares symmetric inputs a search over their automorphisms; McKay and
 Piperno ("Practical graph isomorphism, II", 2014) prune equivalent search
-nodes the same way.  prefix_ties is exempt: a child's new row is not among
+nodes the same way.  Tie records are exempt: a child's new row is not among
 the block's rows, so states that agree on the block's unused rows may still
 differ on it.
 
@@ -34,14 +34,19 @@ across matrices, so they keep the fixed big = 2**32, which covers every
 entry up to MAX_ENTRY = 2**31.  The oracles keep their own encodings so that
 they stay independent checks.
 
-The engine tests the children of one canonical prefix together (canonical
-augmentation, after McKay 1998).  prefix_ties runs the prefix's own
-test-mode search once and lists its tie states per level; these are exactly
-the states of a child's search that use only prefix rows.  children_verdicts
-then places each new row after every tie state at every level and fails the
-child when an image beats its target.  An image equal to a prefix row keeps
-a state that uses the new row, which only minimize_rows can follow, so such
-a child's verdict is left open.
+The engine tests the children of one canonical prefix together and carries
+the test's search state from each prefix to its children (canonical
+augmentation, after McKay, "Isomorph-free exhaustive generation", 1998).  A
+prefix's tie record (Ties) holds its test-mode tie states per level,
+unmerged, and a table with one row per placement of a new row after one of
+them.  children_verdicts reads the table once for every candidate row: a
+child fails when an image beats its target, and passes when none does and
+no image ties with a prefix row below its own level.  An image equal to a prefix row
+keeps a state that uses the new row, so such a child's verdict is open and
+extend_ties continues the level search from the prefix's levels.  The same
+call derives a child's record from its parent's: a passed child's new
+states are its final level alone.  prefix_ties searches a record from
+scratch; the engine does so only for the empty prefix.
 """
 
 from __future__ import annotations
@@ -215,22 +220,48 @@ def _level_search(rows, ncols, test, big, levels=None):
     the block after every state, and those placements can tell apart
     states that the block's own rows cannot."""
     k = len(rows)
-    shift = big.bit_length()
-    mask = (1 << shift) - 1
     kpos = [tuple([entry_key(x, big) for x in r]) for r in rows]
     kneg = [tuple([entry_key(-x, big) for x in r]) for r in rows]
-    cols = range(ncols)
     # state: (used-row bitmask, packed column profiles, resolved column signs)
     states = [(0, (0,) * ncols, (0,) * ncols)]
     out = []
     for depth in range(k):
         if levels is not None:
             levels.append(states)
-        best = None
-        best_states = {}
-        signs_choices = (1,) if depth == 0 else (1, -1)
+        best, kept = _level([(states, range(k))], kpos, kneg, big, depth > 0)
+        if test and best != kpos[depth]:
+            if best < kpos[depth]:
+                return None
+            raise AssertionError("canonical search lost the identity arrangement")
+        out.append(best)
+        states = list(kept)
+        if levels is None and len(states) > 1:
+            states = _merge_ties(states, rows)
+    if levels is not None:
+        levels.append(states)
+    return [tuple([key if key < big else big - key for key in row]) for row in out]
+
+
+def _level(groups, kpos, kneg, big, signed, target=None):
+    """One level of the tie-set search: for each (states, rows) of
+    `groups`, every row of `rows` that a state has not used is placed after
+    it, with row sign +1, and -1 too when `signed`.
+
+    Returns the least image row (its keys) and the states that attain it,
+    as a dict in first-seen order.  With a `target`, images above it are
+    dropped, and the first image below it is returned at once, with None
+    for the states.
+    """
+    shift = big.bit_length()
+    mask = (1 << shift) - 1
+    signs_choices = (1, -1) if signed else (1,)
+    ncols = len(kpos[0])
+    cols = range(ncols)
+    best = target
+    kept = {}
+    for states, rows in groups:
         for used, profs, signs in states:
-            for i in range(k):
+            for i in rows:
                 bit = 1 << i
                 if used & bit:
                     continue
@@ -261,23 +292,15 @@ def _level_search(rows, ncols, test, big, levels=None):
                         new_profs[c] = (profs[c] << shift) | key
                     digits = tuple([p & mask for p in sorted(new_profs)])
                     if best is None or digits < best:
+                        if target is not None:
+                            return digits, None
                         best = digits
-                        best_states = {}
+                        kept = {}
                     elif digits != best:
                         continue
                     new_signs = signs if resolved is None else tuple(resolved)
-                    best_states[(used | bit, tuple(new_profs), new_signs)] = None
-        if test and best != kpos[depth]:
-            if best < kpos[depth]:
-                return None
-            raise AssertionError("canonical search lost the identity arrangement")
-        out.append(best)
-        states = list(best_states)
-        if levels is None and len(states) > 1:
-            states = _merge_ties(states, rows)
-    if levels is not None:
-        levels.append(states)
-    return [tuple([key if key < big else big - key for key in row]) for row in out]
+                    kept[(used | bit, tuple(new_profs), new_signs)] = None
+    return best, kept
 
 
 def _merge_ties(states, rows):
@@ -315,62 +338,153 @@ def pack_keys(keys: np.ndarray, big: int) -> np.ndarray:
     return keys @ (2 * big) ** np.arange(keys.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
-def prefix_ties(rows, ncols, big):
-    """The tie states of the canonical block `rows`, as children_verdicts
-    reads them.
+class Ties:
+    """The tie record of a canonical block: what children_verdicts reads,
+    and what extend_ties carries from the block to a child.
+
+    `rows` is the block, `big` the key width, and `kpos`/`kneg` the keys of
+    each row and of its negation.  `levels` lists the block's test-mode
+    tie states, unmerged, in force before each level and after the last.
+    The placement table (`keys`, one (src, lift, level) per distinct
+    placement of a new row, and `table`, the same rows as one int64 array,
+    src then lift then level) is built on first use: from the parent
+    record's, plus the placements of the states that `fresh` lists as
+    (level, states).  A verdict that only asks whether a child is
+    canonical never builds it.
+    """
+
+    __slots__ = ("rows", "big", "kpos", "kneg", "levels", "_parent", "_fresh", "_keys", "_table")
+
+    def __init__(self, rows, big, kpos, kneg, levels, parent, fresh):
+        self.rows, self.big, self.kpos, self.kneg, self.levels = rows, big, kpos, kneg, levels
+        self._parent, self._fresh = parent, fresh
+        self._keys = self._table = None
+
+    @property
+    def keys(self) -> dict:
+        if self._keys is None:
+            self._build()
+        return self._keys
+
+    @property
+    def table(self) -> np.ndarray:
+        if self._table is None:
+            self._build()
+        return self._table
+
+    def _build(self):
+        parent = self._parent
+        keys = {} if parent is None else dict(parent.keys)
+        new = []
+        for level, states in self._fresh:
+            new += _placements(states, level, 2 * self.big, keys)
+        table = np.array([src + lift + (level,) for src, lift, level in new], dtype=np.int64)
+        if parent is not None:
+            table = np.concatenate([parent.table, table.reshape(-1, parent.table.shape[1])])
+        self._keys, self._table = keys, table
+        self._parent = self._fresh = None
+
+
+def _placements(states, level, radix, keys) -> list:
+    """The placements of a new row at `level`, after each of `states`, that
+    `keys` does not hold yet; each is added to `keys` and returned.
+
+    A column's key follows its resolved sign u times the row sign: key(x)
+    for +1, key(-x) for -1, |x| for 0.  The columns are ordered by the
+    state's profiles, and each group of equal profiles is sorted: `src`
+    indexes each image position into the per-column keys [key(-x) | |x| |
+    key(x)], and `lift` puts each group above the one before it, so one
+    sort of the lifted row sorts inside every group.  Level 0 places with
+    +1 alone.
+    """
+    new = []
+    for _, profs, signs in states:
+        ncols = len(profs)
+        order = sorted(range(ncols), key=profs.__getitem__)
+        lift = [0] * ncols
+        for j in range(1, ncols):
+            lift[j] = lift[j - 1] + radix * (profs[order[j]] != profs[order[j - 1]])
+        lift = tuple(lift)
+        for s in (1,) if level == 0 else (1, -1):
+            key = (tuple([(signs[c] * s + 1) * ncols + c for c in order]), lift, level)
+            if key not in keys:
+                keys[key] = None
+                new.append(key)
+    return new
+
+
+def prefix_ties(rows, ncols, big) -> Ties:
+    """The tie record of the canonical block `rows`, searched from scratch.
 
     A child rows + [r] fails the test-mode search exactly when some
     placement of r gives an image below its target.  One placement puts r
     at a level d <= k = len(rows), after a state that survives levels
-    0..d-1 of the block's own search, with row sign +-1 (+1 alone at d = 0).
-    A column's key then follows its resolved sign u times the row sign:
-    key(x) for +1, key(-x) for -1, |x| for 0.  The columns are ordered by
-    the state's profiles, and each group of equal profiles is sorted.
-
-    Returns one row per distinct placement: `src` indexes each image
-    position into the per-column keys [key(-x) | |x| | key(x)], `lift`
-    puts each group above the one before it, so one sort of the lifted row
-    sorts inside every group, `target` is the packed row d, and `last`
-    marks d = k, whose target is r itself.  `big` must exceed every entry
-    magnitude of the children too.
+    0..d-1 of the block's own search, with row sign +-1 (+1 alone at d = 0);
+    its target is the block's row d, or r itself at d = k.  The table holds
+    one row per distinct placement (_placements).  `big` must exceed every
+    entry magnitude of the children too.
     """
     levels = []
     if _level_search(rows, ncols, True, big, levels) is None:
         raise ValueError("prefix is not canonical")
-    k = len(rows)
-    radix = 2 * big
-    block = np.array(rows, dtype=np.int64).reshape(k, ncols)
-    # the packed rows; d = k compares with r instead
-    own = pack_keys(entry_key(block, big), big).tolist() + [0]
-    placements = {}
-    for d, states in enumerate(levels):
-        for _, profs, signs in states:
-            order = sorted(range(ncols), key=profs.__getitem__)
-            lift = [0] * ncols
-            for j in range(1, ncols):
-                lift[j] = lift[j - 1] + radix * (profs[order[j]] != profs[order[j - 1]])
-            for s in (1,) if d == 0 else (1, -1):
-                src = tuple([(signs[c] * s + 1) * ncols + c for c in order])
-                placements[(src, tuple(lift), own[d], d == k)] = None
-    src, lift, target, last = zip(*placements)
-    return np.array(src), np.array(lift), np.array(target), np.array(last)
+    kpos = tuple([tuple([entry_key(x, big) for x in r]) for r in rows])
+    kneg = tuple([tuple([entry_key(-x, big) for x in r]) for r in rows])
+    return Ties(tuple(rows), big, kpos, kneg, levels, None, list(enumerate(levels)))
 
 
-def children_verdicts(ties, cand: np.ndarray, big: int):
+def extend_ties(ties: Ties, row, tied: bool) -> Ties | None:
+    """The tie record of ties.rows + [row], derived from the block's, for a
+    row that children_verdicts did not find beaten; `tied` is its open
+    verdict.  None if the child is not canonical after all.
+
+    The child's states at each level are the block's, which never re-place
+    a block row, plus the states that use `row`.  A passed child (not
+    tied) has no state of the second kind below its own level k, so only
+    its final level is new: the block's final states with `row` placed so
+    that its image equals it.  An open child continues the test-mode level
+    search of rows + [row] from the block's levels: at each level `row` is
+    placed after the block's states, and the block's unused rows after the
+    states that already use `row`; the search stops at the first image
+    below its target.  The child's table is the block's, whose level-k
+    rows now target `row`, plus the placements of the new states.
+    """
+    k, big = len(ties.rows), ties.big
+    kpos = ties.kpos + (tuple([entry_key(x, big) for x in row]),)
+    kneg = ties.kneg + (tuple([entry_key(-x, big) for x in row]),)
+    start = 0 if tied else k
+    levels = ties.levels[: start + 1]
+    fresh, states = [], []
+    for d in range(start, k + 1):
+        groups = [(ties.levels[d], (k,)), (states, range(k))]
+        _, kept = _level(groups, kpos, kneg, big, d > 0, kpos[d])
+        if kept is None:
+            return None
+        states = list(kept)
+        levels.append(ties.levels[d + 1] + states if d < k else states)
+        fresh.append((d + 1, states))
+    return Ties(ties.rows + (tuple(row),), big, kpos, kneg, levels, ties, fresh)
+
+
+def children_verdicts(ties: Ties, cand: np.ndarray, big: int):
     """Prefix-canonicality of rows + [r] for every row r of `cand` at once.
 
-    `ties` is prefix_ties(rows, ...).  In the child's search the states
-    that use only rows of the block at level d are exactly the block's own
-    states after level d, so the child fails if and only if one of the
-    placements beats its target.  An image equal to row d for d < k keeps
-    a state that uses r, which only the scalar search can follow.
+    `ties` is the tie record of rows (prefix_ties or extend_ties).  In the
+    child's search the states that use only rows of the block at level d
+    are exactly the block's own states after level d, so the child fails
+    if one of the placements beats its target.  An image equal to row d
+    for d < k keeps a state that uses r, which only the continued search,
+    extend_ties, can follow.
 
     Returns boolean arrays (beaten, open): beaten children fail; open ones
-    are not beaten here but tie below level k, and need minimize_rows.
+    are not beaten here but tie below level k, and need extend_ties.
     Every other child passes.
     """
-    src, lift, target, last = ties
     m, ncols = cand.shape
+    k = len(ties.rows)
+    src, lift, level = ties.table[:, :ncols], ties.table[:, ncols:-1], ties.table[:, -1]
+    # the packed rows; level k compares with r instead
+    packed_rows = pack_keys(np.array(ties.kpos, dtype=np.int64).reshape(k, ncols), big)
+    target, last = np.append(packed_rows, 0)[level], level == k
     beaten = np.zeros(m, dtype=bool)
     tied = np.zeros(m, dtype=bool)
     # chunks of candidates keep the (chunk, placements, ncols) images small

@@ -11,10 +11,16 @@ matrix survives only while
     respects the complementary-minor bound |minor| <= (n-k)! * cap^(n-k)
     that a bounded inverse forces on a unimodular matrix.
 
-The children of one prefix are tested for canonicality together: the
-prefix's tie states are computed once, one vectorized verdict covers every
-candidate next row, and only the children whose image ties with a prefix row
-take the scalar test (canonical.children_verdicts).
+The children of one prefix are tested for canonicality together: one
+vectorized verdict (canonical.children_verdicts) reads the prefix's tie
+record for every candidate next row, and only the children whose image
+ties with a prefix row take the scalar test, which continues the prefix's
+level search (canonical.extend_ties).  Tie records travel down the descent:
+a prefix carries its parent's record and whether its own verdict was open,
+and its record is derived from them (_Generator._ties) only when its
+children are tested.  The empty prefix's record is a search's one level
+search from scratch; minimize_rows is left to canonical_form and max-beta's
+witness check.
 
 A finished matrix is accepted only if it equals its own canonical form, so
 every class is emitted exactly once, as its representative, with no global
@@ -48,8 +54,10 @@ A prefix carries its minor ladder: ladder[i] holds the i-column minors of
 its first i rows, one per column subset in itertools.combinations order.
 Every minor, determinant and cofactor the engine computes is a generalized
 Laplace expansion of a stacked block, and every expansion's terms and signs
-come from one table, _laplace.  A stored work unit keeps its rows only, and
-its ladder is rebuilt when the unit is searched (_ladder).
+come from one table, _laplace.  A stored work unit keeps its rows, the
+space indices of its first and last rows, its parent's tie record and its
+open flag; its ladder is rebuilt when the unit is searched (_ladder), and
+its record is derived there.
 
 A search with no beta cap is value-only (the largest inverse entry).  It
 tests canonicality on prefixes only: duplicates cannot change a maximum, so
@@ -90,7 +98,7 @@ import os
 import re
 import tempfile
 import time
-from contextlib import closing
+from contextlib import closing, nullcontext
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from math import comb, factorial
@@ -101,12 +109,13 @@ from .canonical import (
     CanonicalClass,
     children_verdicts,
     entry_key,
+    extend_ties,
     key_big,
     minimize_rows,
     pack_keys,
     prefix_ties,
 )
-from .matrix import ClassStats, IntMatrix, RegimeError
+from .matrix import ClassStats, IntMatrix, RegimeError, det
 
 # A candidate row packs its n keys into one int64: at most 8 bits a key for
 # alpha <= 64, so 7 keys (56 bits) fit and 8 would not.
@@ -243,13 +252,14 @@ class SearchCheckpoint:
     The text form is an append-only JSON-lines journal.  The first line is
     a header with format_version, query and total_units; each further line
     records one finished unit: its index, its payload and a sha256 digest of
-    both.  A search appends one line per finished unit.  A torn write
-    leaves one torn last line: text after the last newline, or else a last
-    line that is not JSON.  from_json drops it and counts its characters in
-    `torn_tail`.  Any other
-    malformed line, a digest mismatch, a repeated unit or a unit index out
-    of range is an error, and so is a leaf that cannot be a leaf of the
-    header's query; a resume then requires that query to be its own.
+    both.  A search writes the header, then keeps the journal open and
+    appends and flushes one line per finished unit.  A torn write leaves
+    one torn last line: text after the last newline, or else a last line
+    that is not JSON.  from_json drops it and counts its characters in
+    `torn_tail`.  Any other malformed line, a digest mismatch, a repeated
+    unit or a unit index out of range is an error, and so is a leaf that
+    cannot be a leaf of the header's query, its recorded determinant
+    included; a resume then requires that query to be its own.
     """
 
     format_version: int
@@ -300,7 +310,7 @@ class SearchCheckpoint:
                 raise CheckpointError(f"invalid checkpoint line {lineno}: {exc}") from exc
             try:
                 index, payload = record["index"], record["payload"]
-                intact = record["digest"] == _record_digest(index, payload)
+                intact = record["digest"] == _record_text(index, payload)[0]
             except (KeyError, TypeError) as exc:
                 raise CheckpointError(f"malformed checkpoint line {lineno}") from exc
             if not intact:
@@ -315,7 +325,7 @@ class SearchCheckpoint:
                 raise CheckpointError(f"checkpoint unit {index} repeated on line {lineno}")
             if not all(_are_leaves(cp.query, key, hits) for key, hits in payload["found"].items()):
                 raise CheckpointError(
-                    f"checkpoint unit {index} on line {lineno} holds a leaf outside its query"
+                    f"checkpoint unit {index} on line {lineno} holds a leaf its query cannot have"
                 )
             cp.completed[index] = payload
         return cp
@@ -354,13 +364,13 @@ def _is_hit(hit) -> bool:
     """Whether `hit` is [list of ints, bool, +-1]."""
     if not isinstance(hit, list) or len(hit) != 3:
         return False
-    entries, positive, det = hit
+    entries, positive, sign = hit
     return (
         isinstance(entries, list)
         and all(type(x) is int for x in entries)
         and type(positive) is bool
-        and type(det) is int
-        and det in (1, -1)
+        and type(sign) is int
+        and sign in (1, -1)
     )
 
 
@@ -369,8 +379,9 @@ def _are_leaves(query: dict, key: str, hits: list) -> bool:
     `hits` as leaves of `query`: the bucket's beta within 1..beta_cap, and
     each hit n*n entries within alpha, nonzero unless zeros are allowed and
     none negative under positive_only, with the bucket's alpha their largest
-    magnitude and `positive` telling whether every entry is positive.  No
-    determinant or inverse is taken, so a resume stays cheap."""
+    magnitude, `positive` telling whether every entry is positive, and its
+    recorded det the matrix's determinant (matrix.det).  No inverse is
+    taken, so a resume stays cheap."""
     a, b = map(int, key.split(","))
     n, alpha, cap = query["n"], query["alpha"], query["beta_cap"]
     low = 0 if query["positive_only"] else -alpha
@@ -379,22 +390,26 @@ def _are_leaves(query: dict, key: str, hits: list) -> bool:
         and all((x or query["zeros_allowed"]) and low <= x <= alpha for x in entries)
         and max(map(abs, entries)) == a
         and positive == (min(entries) > 0)
-        for entries, positive, _ in hits
+        and det(IntMatrix(n, tuple(entries))) == d
+        for entries, positive, d in hits
     )
 
 
-def _record_digest(index: int, payload: dict) -> str:
+def _record_text(index, payload) -> tuple[str, str]:
+    """(digest, body) of one unit's record: body is the text of its index
+    and payload, serialized once, as json.dumps(..., sort_keys=True) writes
+    them inside an object, and the digest is the sha256 of {body}."""
     # imported here: hashlib loads OpenSSL (about 3.5 MB resident), which
     # only searches that read or write a checkpoint need
     import hashlib
 
-    blob = json.dumps({"index": index, "payload": payload}, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    body = f'"index": {json.dumps(index)}, "payload": {json.dumps(payload, sort_keys=True)}'
+    return hashlib.sha256(f"{{{body}}}".encode()).hexdigest(), body
 
 
 def _unit_line(index: int, payload: dict) -> str:
-    record = {"digest": _record_digest(index, payload), "index": index, "payload": payload}
-    return json.dumps(record, sort_keys=True) + "\n"
+    digest, body = _record_text(index, payload)
+    return f'{{"digest": "{digest}", {body}}}\n'
 
 
 def save_checkpoint(path: str, cp: SearchCheckpoint, index: int | None = None) -> None:
@@ -618,13 +633,20 @@ def _beta_reach(alpha: int, zmap, forms, cand: np.ndarray, grown: np.ndarray) ->
     the bound's one caller.  Inverse column n-2 times det is zmap @ x, shared
     by every child; columns 0..n-3 are bilinear in (y, x) (`forms`, row
     i*n + j for entry (j, i)); column n-1 is `grown`, each child's
-    (n-1)-column minors, up to sign.  One product of `cand` gives every
-    child's coefficients of x.  The largest |c . x| over the box is
+    (n-1)-column minors, up to sign.  One float64 product of `cand` gives
+    every child's coefficients of x.  The largest |c . x| over the box is
     alpha * ||c||_1.
+
+    float64 is exact: a coefficient c is a minor of n-2 rows (n-3 prefix
+    rows and y), each partial sum of the product is at most n (n-3)!
+    alpha^(n-2) in magnitude, ||c||_1 at most n (n-2)! alpha^(n-2), and
+    alpha * ||c||_1 at most n (n-2)! alpha^(n-1): all integers below the
+    n! alpha^n that every admitted space keeps below 2^53 (see _space).
     """
     m, n = cand.shape
     shared = alpha * np.abs(zmap).sum(axis=1).max()
-    coef = np.abs(cand @ forms.reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1))
+    coef = forms.reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1).astype(float)
+    coef = np.abs(cand.astype(float) @ coef)
     bilinear = alpha * coef.reshape(m, -1, n).sum(axis=2).max(axis=1, initial=0)
     return np.maximum(np.abs(grown).max(axis=1), np.maximum(bilinear, shared))
 
@@ -699,39 +721,60 @@ class _Generator:
         self.found: dict[str, list] = {}
         self.best_beta = params.floor
 
-    def _canonical_children(self, rows, cand: np.ndarray) -> np.ndarray:
+    def _ties(self, rows, parent, tied: bool):
+        """The tie record of `rows`, derived from `parent`, its parent's
+        record, and `tied`, whether its last row's verdict was open.  The
+        empty prefix, whose parent is None, is the one record searched from
+        scratch."""
+        if parent is None:
+            return prefix_ties(rows, self.n, self.big)
+        return extend_ties(parent, rows[-1], tied)
+
+    def _canonical_children(self, rows, cand: np.ndarray, ties=None, opened=None) -> np.ndarray:
         """Which children rows + [r], r a row of `cand`, are prefix-canonical.
 
-        One batch verdict over the whole batch, from the tie states of
-        `rows` computed once; a child whose verdict is open takes the scalar
-        test.
+        One batch verdict over the whole batch, from `ties`, the tie record
+        of `rows` (prefix_ties when not given); a child whose verdict is
+        open continues the level search (extend_ties).  `opened`, a set,
+        when given, receives the rows of the open children.
         """
-        beaten, open_ = children_verdicts(prefix_ties(rows, self.n, self.big), cand, self.big)
-        ok = ~(beaten | open_)
+        if ties is None:
+            ties = prefix_ties(rows, self.n, self.big)
+        beaten, open_ = children_verdicts(ties, cand, self.big)
+        ok = ~beaten
         for pos in np.flatnonzero(open_):
-            ok[pos] = minimize_rows(rows + [tuple(cand[pos].tolist())], self.n, True) is not None
+            row = tuple(cand[pos].tolist())
+            ok[pos] = extend_ties(ties, row, True) is not None
+            if opened is not None:
+                opened.add(row)
         return ok
 
-    def _survivors(self, rows, ladder, zmap, ys, grown):
+    def _survivors(self, rows, ladder, zmap, ys, grown, parent, tied):
         """Which children rows + [y] of a prefix of n-2 rows the search keeps,
         y a row of `ys` with (n-1)-column minors `grown`; `ladder` is the
-        prefix's minor ladder and `zmap` its _zmap.
+        prefix's minor ladder, `zmap` its _zmap, and _ties derives its tie
+        record from `parent` and `tied`.
 
         Here alone a value-only search bounds its children: _beta_reach, from
         the prefix's bilinear forms built here, drops every child strictly
         below the running best.  Canonicality is tested on the children left
         only.  Both are per-child tests against the best at the start, so
-        their order changes no survivor.  Returns (keep, reach, forms): the
-        kept children's bounds and the forms, both None in an enumeration.
+        their order changes no survivor.  Returns (keep, reach, forms,
+        ties, opened): the kept children's bounds and the forms, both None
+        in an enumeration, the prefix's tie record, None when no child was
+        left to test, and the rows of the open children.
         """
+        opened = set()
         if self.p.beta_cap is not None:
-            return self._canonical_children(rows, ys), None, None
+            ties = self._ties(rows, parent, tied)
+            return self._canonical_children(rows, ys, ties, opened), None, None, ties, opened
         forms = _pair_forms(self.n, rows, ladder).T
         reach = _beta_reach(self.p.alpha, zmap, forms, ys, grown)
-        keep = reach >= self.best_beta
+        keep, ties = reach >= self.best_beta, None
         if keep.any():
-            keep[keep] = self._canonical_children(rows, ys[keep])
-        return keep, reach[keep], forms
+            ties = self._ties(rows, parent, tied)
+            keep[keep] = self._canonical_children(rows, ys[keep], ties, opened)
+        return keep, reach[keep], forms, ties, opened
 
     def _rows(self, idx) -> np.ndarray:
         """Rows idx of the space, as integers."""
@@ -911,12 +954,13 @@ class _Generator:
             pos = np.arange(end[a] - length[a], end[b - 1]) + shift[hit]
             yield child[hit], xs[pos], dets[hit], mid[hit]
 
-    def _accept_batch(self, rows, ladder, idx, grown, base_mask):
+    def _accept_batch(self, rows, ladder, idx, grown, base_mask, parent, tied):
         """Finish the search below the children of one prefix.
 
-        `rows` holds n-2 rows with minor ladder `ladder`; child c is row
-        idx[c] of the space, with (n-1)-column minors grown[c].  _survivors
-        keeps the children first: the bound of a value-only search, then
+        `rows` holds n-2 rows with minor ladder `ladder`, and _ties derives
+        its tie record from `parent` and `tied`; child c is row idx[c] of
+        the space, with (n-1)-column minors grown[c].  _survivors keeps the
+        children first: the bound of a value-only search, then
         canonicality.  A work unit that already holds n-1 rows (n <= 3) is
         the one child of its prefix, which stage 1 has kept the same way:
         `rows` is the unit and idx holds its last row (0 for n = 1).
@@ -938,7 +982,9 @@ class _Generator:
         if n > 1:
             ys, zmap = self._rows(idx), _zmap(n, ladder)
             if len(rows) + 2 == n:  # else stage 1 kept this unit of n-1 rows
-                keep, reach, forms = self._survivors(rows, ladder, zmap, ys, grown)
+                keep, reach, forms, ties, opened = self._survivors(
+                    rows, ladder, zmap, ys, grown, parent, tied
+                )
                 if not keep.any():
                     return
                 idx, ys, grown = idx[keep], ys[keep], grown[keep]
@@ -973,14 +1019,18 @@ class _Generator:
                 if reach is None or reach[k] >= self.best_beta:
                     self._spend(int(nodes[k - c0]))
                     a, b = bounds[k - c0], bounds[k - c0 + 1]
-                    if b > a:
-                        head = rows if len(rows) == n - 1 else rows + [tuple(ys[k].tolist())]
-                        self._record(head, xs[a:b], dets[a:b], betas[a:b])
+                    if b > a and len(rows) == n - 1:  # the unit itself
+                        self._record(rows, xs[a:b], dets[a:b], betas[a:b], parent, tied)
+                    elif b > a:
+                        y = tuple(ys[k].tolist())
+                        head = rows + [y]
+                        self._record(head, xs[a:b], dets[a:b], betas[a:b], ties, y in opened)
 
-    def _record(self, rows, xs: np.ndarray, dets, betas: np.ndarray):
+    def _record(self, rows, xs: np.ndarray, dets, betas: np.ndarray, parent, tied):
         """Record the kept completions of the n-1 rows `rows` by the rows xs
         of the space, which passed the leaf filters with determinants `dets`
-        and largest inverse magnitudes `betas`.
+        and largest inverse magnitudes `betas`; _ties derives the tie record
+        of `rows` from `parent` and `tied`.
 
         An enumeration keeps the canonical leaves.  A value-only search keeps
         the leaves that attain alpha and their largest beta, unless it is
@@ -1000,7 +1050,8 @@ class _Generator:
                 self.best_beta, self.found = beta, {}
             kept = np.flatnonzero(keep & (betas == beta))
         else:
-            kept = np.flatnonzero(self._canonical_children(rows, cand))
+            ties = self._ties(rows, parent, tied)
+            kept = np.flatnonzero(self._canonical_children(rows, cand, ties))
         for pos in kept:
             entries = prefix + cand[pos].tolist()
             self.found.setdefault(f"{attained[pos]},{betas[pos]}", []).append(
@@ -1019,61 +1070,90 @@ class _Generator:
         return self.rowmin >= self.packed[first]
 
     def _descend(
-        self, rows, ladder, first: int | None, last: int, base_mask, stop_depth: int, sink
+        self,
+        rows,
+        ladder,
+        first: int | None,
+        last: int,
+        base_mask,
+        stop_depth: int,
+        sink,
+        parent,
+        tied: bool,
     ):
         """Search below `rows`, whose minor ladder is `ladder`.
 
         `first` and `last` index the first and last rows of `rows` in the
         space (None and 0 for the empty prefix), and `base_mask` is
-        _base_mask(first).  A prefix of `stop_depth` rows goes to `sink` as
-        (rows, first, last) instead of being searched.
+        _base_mask(first).  `parent` is the tie record of rows' parent (None
+        for the empty prefix) and `tied` whether the last row's verdict was
+        open: the record of `rows` is derived from them (_ties) only when
+        its children are tested.  A prefix of `stop_depth` rows goes to
+        `sink` as (rows, first, last, parent, tied) instead of being
+        searched.
         """
         if len(rows) == stop_depth:
-            sink((rows, first, last))
+            sink((rows, first, last, parent, tied))
             return
         n = self.n
         if len(rows) + 1 == n:  # a unit of n-1 rows is the one child of its prefix
-            self._accept_batch(rows, ladder, np.array([last]), ladder[-1][None], base_mask)
+            only = np.array([last])
+            self._accept_batch(rows, ladder, only, ladder[-1][None], base_mask, parent, tied)
             return
         idx, grown = self._candidates(rows, ladder[-1], base_mask, last)
         if not len(idx):
             return
         if len(rows) + 2 == n < stop_depth:  # stage 2 finishes both last rows at once
             self._spend(len(idx))
-            self._accept_batch(rows, ladder, idx, grown, base_mask)
+            self._accept_batch(rows, ladder, idx, grown, base_mask, parent, tied)
             return
         cand = self._rows(idx)
         if len(rows) + 2 == n:  # stage 1 keeps units of n-1 rows (n <= 3) the same way
-            ok = self._survivors(rows, ladder, _zmap(n, ladder), cand, grown)[0]
+            ok, _, _, ties, opened = self._survivors(
+                rows, ladder, _zmap(n, ladder), cand, grown, parent, tied
+            )
         else:
-            ok = self._canonical_children(rows, cand)
+            ties, opened = self._ties(rows, parent, tied), set()
+            ok = self._canonical_children(rows, cand, ties, opened)
         for pos, row in enumerate(cand.tolist()):
             self._spend()
             if not ok[pos]:
                 continue
-            i = int(idx[pos])
+            i, row = int(idx[pos]), tuple(row)
             if not rows:  # row i becomes the first row
                 first, base_mask = i, self._base_mask(i)
             self._descend(
-                rows + [tuple(row)], ladder + [grown[pos]], first, i, base_mask, stop_depth, sink
+                rows + [row],
+                ladder + [grown[pos]],
+                first,
+                i,
+                base_mask,
+                stop_depth,
+                sink,
+                ties,
+                row in opened,
             )
 
     def run_prefixes(self, stop_depth: int):
         """Stage 1: every accepted prefix of `stop_depth` rows, in order.
 
-        A prefix is (rows, index of the first row, index of the last row);
-        run_subtree searches below it.  Its minor ladder is rebuilt there:
-        kept here, the ladders would hold every stage-1 minor array.
+        A prefix is (rows, index of the first row, index of the last row,
+        parent, tied), with `parent` and `tied` as in _descend; run_subtree
+        searches below it.  Its minor ladder is rebuilt there: kept here,
+        the ladders would hold every stage-1 minor array.  The empty
+        prefix's tie record is the search's one from-scratch level search
+        (prefix_ties); every other record is derived from its parent's.
         """
         out = []
         root = _ladder(self.n, [])
-        self._descend([], root, None, 0, self._base_mask(None), stop_depth, out.append)
+        self._descend([], root, None, 0, self._base_mask(None), stop_depth, out.append, None, False)
         return out
 
-    def run_subtree(self, rows, first, last):
+    def run_subtree(self, rows, first, last, parent, tied):
         """Finish the search below one stored prefix."""
         ladder = _ladder(self.n, rows)
-        self._descend(rows, ladder, first, last, self._base_mask(first), self.n + 1, None)
+        base_mask = self._base_mask(first)
+        self._descend(rows, ladder, first, last, base_mask, self.n + 1, None, parent, tied)
 
     def payload(self) -> dict:
         """This search's result as a JSON-ready work-unit record."""
@@ -1134,8 +1214,10 @@ def _run_search(
     unit's budget when the loop asks for it; Executor.map reads every budget
     at submission.  A pool starts for two units or more, with at most one
     worker per CPU the process may run on.  Kept units are merged in unit
-    order into (alpha, beta) buckets.  A value-only search's running best
-    starts at params.floor, which the journal's query leaves out: only
+    order into (alpha, beta) buckets.  With `checkpoint_path`, the journal
+    is opened once for appending, and each kept unit's record is written
+    and flushed as it is kept.  A value-only search's running best starts
+    at params.floor, which the journal's query leaves out: only
     enumerations pass a checkpoint.
     """
     if resume:
@@ -1190,7 +1272,10 @@ def _run_search(
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-    with closing(computed()) as rest:
+    # one append handle for the search: each finished unit's record is
+    # written and flushed as soon as it is kept
+    appending = open(checkpoint_path, "a") if checkpoint_path is not None else nullcontext()
+    with closing(computed()) as rest, appending as out:
         for index, payload in itertools.chain(sorted(journal.items()), rest):
             left = budget_left()
             if payload is None or (left is not None and payload["nodes"] > left):
@@ -1199,8 +1284,9 @@ def _run_search(
             nodes += payload["nodes"]
             if index not in journal:
                 journal[index] = payload
-                if checkpoint_path is not None:
-                    save_checkpoint(checkpoint_path, cp, index)
+                if out is not None:
+                    out.write(_unit_line(index, payload))
+                    out.flush()
 
     merged = _merge_units(kept[i] for i in sorted(kept))
     return _RawResult(merged, nodes, len(kept) == len(prefixes))

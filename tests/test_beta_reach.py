@@ -208,13 +208,13 @@ def test_canonicality_sees_only_the_children_the_bound_keeps(monkeypatch, mode):
 
     canonical_children = engine._Generator._canonical_children
 
-    def checked(self, rows, cand):
+    def checked(self, rows, cand, *ties):
         if len(rows) == n - 2:
             ys, out = bounded[-1]
             assert np.array_equal(cand, ys[out >= self.best_beta])
             seen["tested"] += 1
             seen["children"] += len(cand)
-        return canonical_children(self, rows, cand)
+        return canonical_children(self, rows, cand, *ties)
 
     monkeypatch.setattr(engine, "_beta_reach", reach)
     monkeypatch.setattr(engine._Generator, "_canonical_children", checked)
@@ -225,3 +225,29 @@ def test_canonicality_sees_only_the_children_the_bound_keeps(monkeypatch, mode):
         # the bound drops children, and whole batches, before the test
         assert seen["tested"] < len(bounded)
         assert seen["children"] < sum(len(ys) for ys, _ in bounded)
+
+
+def _beta_reach_int64(alpha, zmap, forms, cand, grown):
+    """The bound as an int64 product, which numpy runs without BLAS."""
+    m, n = cand.shape
+    shared = alpha * np.abs(zmap).sum(axis=1).max()
+    coef = np.abs(cand @ forms.reshape(-1, n, n).transpose(1, 0, 2).reshape(n, -1))
+    bilinear = alpha * coef.reshape(m, -1, n).sum(axis=2).max(axis=1, initial=0)
+    return np.maximum(np.abs(grown).max(axis=1), np.maximum(bilinear, shared))
+
+
+def test_the_float64_bound_equals_the_int64_one_on_every_batch(monkeypatch):
+    # the maxbeta_4x4 benchmark's search: every bound is an integer far
+    # below 2^53, so the float64 product gives it exactly
+    batches = []
+
+    def compared(alpha, zmap, forms, cand, grown):
+        out = _beta_reach(alpha, zmap, forms, cand, grown)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, _beta_reach_int64(alpha, zmap, forms, cand, grown))
+        batches.append(len(cand))
+        return out
+
+    monkeypatch.setattr(engine, "_beta_reach", compared)
+    assert max_beta_search(4, 2, "unrestricted", thread_budget=1).beta_max == 30
+    assert len(batches) > 300 and sum(batches) > 40_000

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 
 from zerofree import canonical
@@ -14,9 +15,12 @@ from zerofree.canonical import (
     apply,
     canonical_form,
     canonical_form_oracle,
+    children_verdicts,
+    extend_ties,
     flatten_key,
     inverse_class,
     key_big,
+    minimize_rows,
     orbit_equivalent,
     prefix_ties,
     random_zerofree_matrix,
@@ -378,6 +382,88 @@ def test_prefix_ties_records_unmerged_levels(monkeypatch):
         recorded.clear()
         prefix_ties(rows, n, key_big(2))
         assert recorded == [[math.perm(k, d) for d in range(k)] + [math.factorial(k)]]
+
+
+# -- tie records carried down the descent ----------------------------------
+
+
+def _placement_rows(ties):
+    return sorted(map(tuple, ties.table.tolist()))
+
+
+def _children(rows, n, rng, zeros, count):
+    """Random candidate rows, and signed column moves of the block's rows,
+    which tie with them at some level."""
+    values = [x for x in range(-3, 4) if x or zeros]
+    cand = [tuple(rng.choice(values) for _ in range(n)) for _ in range(count)]
+    if not rows:  # and each one's canonical form, a first row that passes
+        cand += [minimize_rows([c], n)[0] for c in cand if any(c)]
+    for r in rows:
+        for _ in range(count // 4 + 1):
+            cand.append(tuple(rng.choice((1, -1)) * r[c] for c in rng.sample(range(n), n)))
+    return [c for c in cand if any(c)]
+
+
+def _assert_derived_records(ties, n, rng, zeros, count, depth):
+    """Every child's record derived from `ties` (extend_ties) equals the one
+    prefix_ties searches from scratch: the same states per level, the same
+    placements, and so the same verdicts on the child's own children; the
+    derived records of the first canonical children are checked `depth`
+    levels further down the same way."""
+    rows = list(ties.rows)
+    cand = _children(rows, n, rng, zeros, count)
+    block = np.array(cand, dtype=np.int64).reshape(-1, n)
+    beaten, open_ = children_verdicts(ties, block, ties.big)
+    searched = children_verdicts(prefix_ties(rows, n, ties.big), block, ties.big)
+    assert (beaten == searched[0]).all() and (open_ == searched[1]).all()
+    followed = 0
+    for r, b, o in zip(cand, beaten.tolist(), open_.tolist()):
+        canonical = minimize_rows(rows + [r], n, True) is not None
+        derived = None if b else extend_ties(ties, r, o)
+        # the continued search of an open child is its canonicality test
+        assert (derived is not None) == canonical
+        if derived is None:
+            continue
+        scratch = prefix_ties(rows + [r], n, ties.big)
+        assert derived.rows == scratch.rows
+        assert [len(states) for states in derived.levels] == [len(s) for s in scratch.levels]
+        assert [set(states) for states in derived.levels] == [set(s) for s in scratch.levels]
+        assert derived.keys.keys() == scratch.keys.keys()
+        assert _placement_rows(derived) == _placement_rows(scratch)
+        if depth and len(rows) + 2 < n and followed < 2:
+            followed += 1
+            _assert_derived_records(derived, n, rng, zeros, count, depth - 1)
+
+
+def _derived_sweep(seed, per_shape, count, whole_up_to):
+    """Random blocks with and without zeros for n = 3..7, from the empty
+    block on, then the symmetric ones; symmetric blocks of more than 4 rows
+    only up to n = whole_up_to, since their unmerged levels grow as k!."""
+    rng = random.Random(seed)
+    big = key_big(3)
+    for n in range(3, 8):
+        for zeros in (False, True):
+            _assert_derived_records(prefix_ties([], n, big), n, rng, zeros, count, 1)
+            for _ in range(per_shape):
+                block = _random_block(n, rng.randint(1, n - 1), rng, zeros)
+                rows = minimize_rows(block, n)
+                _assert_derived_records(prefix_ties(rows, n, big), n, rng, zeros, count, 1)
+        for block in _symmetric_blocks(n, rng):
+            rows = minimize_rows(block[: n - 1], n)
+            if len(rows) <= 4 or n <= whole_up_to:
+                _assert_derived_records(prefix_ties(rows, n, big), n, rng, True, count, 1)
+
+
+def test_derived_tie_records_equal_the_searched_ones():
+    _derived_sweep(2030, 4, 12, 5)
+
+
+@pytest.mark.long_run
+def test_derived_tie_records_equal_the_searched_ones_sweep():
+    # at n = 7 a symmetric block of 5 or 6 rows keeps up to 6! states a
+    # level unmerged, and the scratch search of each child takes seconds
+    for seed in range(2031, 2034):
+        _derived_sweep(seed, 20, 20, 6)
 
 
 # -- orbit equivalence -----------------------------------------------------

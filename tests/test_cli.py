@@ -354,6 +354,22 @@ def test_a_journaled_leaf_outside_the_query_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: ") and "unit 1" in err
 
 
+def test_a_journaled_singular_leaf_is_a_usage_error(capsys, tmp_path):
+    # every cheap leaf rule passes 3 3 3 3, so only its determinant, 0
+    # against the recorded 1, keeps it from printing as a class
+    path = tmp_path / "forged.ckpt"
+    argv = ["enumerate", "--n", "2", "--alpha", "3", "--beta", "3", "--checkpoint", str(path)]
+    assert run(capsys, *argv)[0] == 0
+    body = {"index": 1, "payload": {"found": {"3,3": [[[3, 3, 3, 3], True, 1]]}, "nodes": 1}}
+    digest = hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest()
+    head = "".join(path.read_text().splitlines(keepends=True)[:2])
+    path.write_text(head + json.dumps({"digest": digest, **body}, sort_keys=True) + "\n")
+    code, out, err = run(capsys, *argv, "--resume")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "unit 1" in err
+
+
 @pytest.mark.parametrize("resume", [False, True], ids=["fresh", "resume"])
 def test_checkpoint_in_missing_directory_is_a_usage_error(capsys, tmp_path, resume):
     path = str(tmp_path / "missing" / "x.json")

@@ -1085,6 +1085,8 @@ def _header_query_without_n(lines):
                 ("_leaf_beta_0", "3,0", [[1, 1, 2, 3], True, 1]),
                 ("_leaf_positive_entries_flagged_not_positive", "3,3", [[1, 1, 2, 3], False, 1]),
                 ("_leaf_negative_entry_flagged_positive", "3,3", [[1, -1, 2, 3], True, 1]),
+                ("_leaf_singular", "3,3", [[3, 3, 3, 3], True, 1]),
+                ("_leaf_det_of_the_wrong_sign", "3,3", [[1, 1, 2, 3], True, -1]),
             ]
         ),
         _positive_only_header_and_a_negative_leaf,

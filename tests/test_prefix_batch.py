@@ -1,14 +1,22 @@
 """The batched prefix-canonicality test against the scalar one: every child
 of a canonical prefix gets the verdict of minimize_rows, directly or through
-the scalar fallback for children that tie below the last level."""
+the scalar fallback for children that tie below the last level, which
+continues the prefix's level search (extend_ties)."""
 
+import collections
 import itertools
 
 import numpy as np
 import pytest
 
-from zerofree import engine
-from zerofree.canonical import children_verdicts, key_big, minimize_rows, prefix_ties
+from zerofree import canonical, engine
+from zerofree.canonical import (
+    children_verdicts,
+    extend_ties,
+    key_big,
+    minimize_rows,
+    prefix_ties,
+)
 from zerofree.engine import _Generator, _SearchParams
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -86,13 +94,20 @@ SYMMETRIC = [
 
 
 def test_symmetric_prefixes_take_the_scalar_fallback(monkeypatch):
-    calls = []
+    # the scalar fallback of an open child continues the prefix's level
+    # search (extend_ties); the engine never searches a child from scratch
+    continued, scratch = [], []
 
-    def counted(rows, ncols, test=False):
-        calls.append(len(rows))
-        return minimize_rows(rows, ncols, test)
+    def counted(ties, row, tied):
+        continued.append((len(ties.rows), tied))
+        return extend_ties(ties, row, tied)
 
-    monkeypatch.setattr(engine, "minimize_rows", counted)
+    def from_scratch(*args):
+        scratch.append(args)
+        return minimize_rows(*args)
+
+    monkeypatch.setattr(engine, "extend_ties", counted)
+    monkeypatch.setattr(engine, "minimize_rows", from_scratch)
     opened, open_canonical = 0, 0
     for n, alpha, zeros, block in SYMMETRIC:
         rows = minimize_rows(block, n)
@@ -109,9 +124,52 @@ def test_symmetric_prefixes_take_the_scalar_fallback(monkeypatch):
             }
             space = _generator(n, alpha, zeros).cols.T.astype(np.int64)
             cand = np.array(sorted(moves) + space[:: len(space) // 200].tolist())
+        before = len(continued)
         open_, canonical = _check(n, alpha, zeros, rows, cand)
+        assert continued[before:] == [(len(rows), True)] * int(open_.sum())
         opened += int(open_.sum())
         open_canonical += int(canonical.sum())
-    assert opened > 0 and len(calls) == opened
+    assert opened > 0 and len(continued) == opened and not scratch
     # open children go both ways, so neither verdict is a safe default
     assert 0 < open_canonical < opened
+
+
+def _enumerate(n, alpha, beta):
+    return lambda: engine.enumerate_classes(engine.ClassQuery(n, alpha, beta, thread_budget=1))
+
+
+def _max_beta(n, alpha, mode):
+    return lambda: engine.max_beta_search(n, alpha, mode, thread_budget=1)
+
+
+@pytest.mark.parametrize(
+    "search, runs, witness",
+    [
+        pytest.param(_enumerate(1, 1, 1), 1, 0, id="enumerate_1_1_1"),
+        pytest.param(_enumerate(2, 3, 3), 1, 0, id="enumerate_2_3_3"),
+        pytest.param(_enumerate(3, 3, (2, 9)), 1, 0, id="enumerate_3_3_2-9"),
+        pytest.param(_enumerate(4, 3, 3), 1, 0, id="enumerate_4_3_3"),
+        # the zerofree floor pass, then the unrestricted search
+        pytest.param(_max_beta(3, 2, "unrestricted"), 2, 1, id="max_beta_3_2_unrestricted"),
+        pytest.param(_max_beta(4, 2, "zerofree"), 1, 1, id="max_beta_4_2_zerofree"),
+    ],
+)
+def test_a_search_runs_one_level_search_from_scratch(monkeypatch, search, runs, witness):
+    # the empty prefix's tie record is searched once per run; every other
+    # record is derived from its parent's, and only max-beta's witness
+    # check calls minimize_rows
+    counts = collections.Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(canonical, "_level_search", counting("scratch", canonical._level_search))
+    monkeypatch.setattr(engine, "minimize_rows", counting("minimize_rows", engine.minimize_rows))
+    monkeypatch.setattr(engine, "_run_search", counting("runs", engine._run_search))
+    search()
+    assert (counts["runs"], counts["scratch"]) == (runs, runs + witness)
+    assert counts["minimize_rows"] == witness
