@@ -38,15 +38,17 @@ The engine tests the children of one canonical prefix together and carries
 the test's search state from each prefix to its children (canonical
 augmentation, after McKay, "Isomorph-free exhaustive generation", 1998).  A
 prefix's tie record (Ties) holds its test-mode tie states per level,
-unmerged, and a table with one row per placement of a new row after one of
-them.  children_verdicts reads the table once for every candidate row: a
-child fails when an image beats its target, and passes when none does and
-no image ties with a prefix row below its own level.  An image equal to a prefix row
-keeps a state that uses the new row, so such a child's verdict is open and
-extend_ties continues the level search from the prefix's levels.  The same
-call derives a child's record from its parent's: a passed child's new
-states are its final level alone.  prefix_ties searches a record from
-scratch; the engine does so only for the empty prefix.
+unmerged, and a table, built from them, with one row per placement of a new
+row after one of them.  children_verdicts reads the table once for every
+candidate row: a child fails when an image beats its target, and passes
+when none does and no image ties with a prefix row below its own level.  An
+image equal to a prefix row keeps a state that uses the new row, so such a
+child's verdict is open and extend_ties continues the level search from the
+prefix's levels.  The same call derives a child's record from its parent's:
+a passed child's new states are its final level alone.  prefix_ties
+searches a record from scratch; the engine does so only for the empty
+prefix.  Records are for prefixes, which have many children each: a
+finished matrix takes minimize_rows in test mode instead.
 """
 
 from __future__ import annotations
@@ -345,49 +347,31 @@ class Ties:
     `rows` is the block, `big` the key width, and `kpos`/`kneg` the keys of
     each row and of its negation.  `levels` lists the block's test-mode
     tie states, unmerged, in force before each level and after the last.
-    The placement table (`keys`, one (src, lift, level) per distinct
-    placement of a new row, and `table`, the same rows as one int64 array,
-    src then lift then level) is built on first use: from the parent
-    record's, plus the placements of the states that `fresh` lists as
-    (level, states).  A verdict that only asks whether a child is
-    canonical never builds it.
+    The placement table, one row per placement of a new row after a state
+    of some level (_placements), src then lift then level, as one int64
+    array, is built from `levels` on first use: a verdict that only asks
+    whether a child is canonical never builds it.
     """
 
-    __slots__ = ("rows", "big", "kpos", "kneg", "levels", "_parent", "_fresh", "_keys", "_table")
+    __slots__ = ("rows", "big", "kpos", "kneg", "levels", "_table")
 
-    def __init__(self, rows, big, kpos, kneg, levels, parent, fresh):
+    def __init__(self, rows, big, kpos, kneg, levels):
         self.rows, self.big, self.kpos, self.kneg, self.levels = rows, big, kpos, kneg, levels
-        self._parent, self._fresh = parent, fresh
-        self._keys = self._table = None
-
-    @property
-    def keys(self) -> dict:
-        if self._keys is None:
-            self._build()
-        return self._keys
+        self._table = None
 
     @property
     def table(self) -> np.ndarray:
         if self._table is None:
-            self._build()
+            rows = []
+            for d, states in enumerate(self.levels):
+                rows += _placements(states, d, 2 * self.big)
+            self._table = np.array(rows, dtype=np.int64)
         return self._table
 
-    def _build(self):
-        parent = self._parent
-        keys = {} if parent is None else dict(parent.keys)
-        new = []
-        for level, states in self._fresh:
-            new += _placements(states, level, 2 * self.big, keys)
-        table = np.array([src + lift + (level,) for src, lift, level in new], dtype=np.int64)
-        if parent is not None:
-            table = np.concatenate([parent.table, table.reshape(-1, parent.table.shape[1])])
-        self._keys, self._table = keys, table
-        self._parent = self._fresh = None
 
-
-def _placements(states, level, radix, keys) -> list:
-    """The placements of a new row at `level`, after each of `states`, that
-    `keys` does not hold yet; each is added to `keys` and returned.
+def _placements(states, level, radix) -> list:
+    """The placements of a new row at `level`, after each of `states`, as
+    table rows src + lift + (level,).
 
     A column's key follows its resolved sign u times the row sign: key(x)
     for +1, key(-x) for -1, |x| for 0.  The columns are ordered by the
@@ -395,22 +379,23 @@ def _placements(states, level, radix, keys) -> list:
     indexes each image position into the per-column keys [key(-x) | |x| |
     key(x)], and `lift` puts each group above the one before it, so one
     sort of the lifted row sorts inside every group.  Level 0 places with
-    +1 alone.
+    +1 alone.  Rows are not deduplicated: a repeated row only repeats a
+    comparison, so no verdict depends on it.  The states of a level share
+    their sorted profiles, so a repeat needs two states with equal profiles
+    whose signs agree up to the row sign; on the engine's prefixes, whose
+    rows pass the gcd test and so are independent, none was found (a
+    tier-1 test checks whole searches).
     """
-    new = []
+    out = []
     for _, profs, signs in states:
         ncols = len(profs)
         order = sorted(range(ncols), key=profs.__getitem__)
         lift = [0] * ncols
         for j in range(1, ncols):
             lift[j] = lift[j - 1] + radix * (profs[order[j]] != profs[order[j - 1]])
-        lift = tuple(lift)
         for s in (1,) if level == 0 else (1, -1):
-            key = (tuple([(signs[c] * s + 1) * ncols + c for c in order]), lift, level)
-            if key not in keys:
-                keys[key] = None
-                new.append(key)
-    return new
+            out.append([(signs[c] * s + 1) * ncols + c for c in order] + lift + [level])
+    return out
 
 
 def prefix_ties(rows, ncols, big) -> Ties:
@@ -421,15 +406,15 @@ def prefix_ties(rows, ncols, big) -> Ties:
     at a level d <= k = len(rows), after a state that survives levels
     0..d-1 of the block's own search, with row sign +-1 (+1 alone at d = 0);
     its target is the block's row d, or r itself at d = k.  The table holds
-    one row per distinct placement (_placements).  `big` must exceed every
-    entry magnitude of the children too.
+    one row per placement (_placements).  `big` must exceed every entry
+    magnitude of the children too.
     """
     levels = []
     if _level_search(rows, ncols, True, big, levels) is None:
         raise ValueError("prefix is not canonical")
     kpos = tuple([tuple([entry_key(x, big) for x in r]) for r in rows])
     kneg = tuple([tuple([entry_key(-x, big) for x in r]) for r in rows])
-    return Ties(tuple(rows), big, kpos, kneg, levels, None, list(enumerate(levels)))
+    return Ties(tuple(rows), big, kpos, kneg, levels)
 
 
 def extend_ties(ties: Ties, row, tied: bool) -> Ties | None:
@@ -445,15 +430,14 @@ def extend_ties(ties: Ties, row, tied: bool) -> Ties | None:
     search of rows + [row] from the block's levels: at each level `row` is
     placed after the block's states, and the block's unused rows after the
     states that already use `row`; the search stops at the first image
-    below its target.  The child's table is the block's, whose level-k
-    rows now target `row`, plus the placements of the new states.
+    below its target.
     """
     k, big = len(ties.rows), ties.big
     kpos = ties.kpos + (tuple([entry_key(x, big) for x in row]),)
     kneg = ties.kneg + (tuple([entry_key(-x, big) for x in row]),)
     start = 0 if tied else k
     levels = ties.levels[: start + 1]
-    fresh, states = [], []
+    states = []
     for d in range(start, k + 1):
         groups = [(ties.levels[d], (k,)), (states, range(k))]
         _, kept = _level(groups, kpos, kneg, big, d > 0, kpos[d])
@@ -461,8 +445,7 @@ def extend_ties(ties: Ties, row, tied: bool) -> Ties | None:
             return None
         states = list(kept)
         levels.append(ties.levels[d + 1] + states if d < k else states)
-        fresh.append((d + 1, states))
-    return Ties(ties.rows + (tuple(row),), big, kpos, kneg, levels, ties, fresh)
+    return Ties(ties.rows + (tuple(row),), big, kpos, kneg, levels)
 
 
 def children_verdicts(ties: Ties, cand: np.ndarray, big: int):

@@ -18,15 +18,16 @@ ties with a prefix row take the scalar test, which continues the prefix's
 level search (canonical.extend_ties).  Tie records travel down the descent:
 a prefix carries its parent's record and whether its own verdict was open,
 and its record is derived from them (_Generator._ties) only when its
-children are tested.  The empty prefix's record is a search's one level
-search from scratch; minimize_rows is left to canonical_form and max-beta's
-witness check.
+children are tested.  The empty prefix's record is a search's one prefix
+level search from scratch.
 
-A finished matrix is accepted only if it equals its own canonical form, so
-every class is emitted exactly once, as its representative, with no global
-duplicate set.  Candidate rows are scanned in structural order, which makes
-the output stream sorted by flattening and bit-identical across thread
-budgets and checkpoint splits.
+A finished matrix is accepted only if it equals its own canonical form,
+so every class is emitted exactly once, as its representative, with no
+global duplicate set.  minimize_rows tests the whole matrix
+(_Generator._record), as it tests max-beta's witness: a prefix of n-1 rows
+has too few leaves to pay for a tie record.  Candidate rows are scanned in
+structural order, which makes the output stream sorted by flattening and
+bit-identical across thread budgets and checkpoint splits.
 
 The last two rows of each prefix of n-2 rows are finished in one batch
 (_Generator._accept_batch), by expanding det(prefix; y; x) along y's row:
@@ -57,7 +58,8 @@ Laplace expansion of a stacked block, and every expansion's terms and signs
 come from one table, _laplace.  A stored work unit keeps its rows, the
 space indices of its first and last rows, its parent's tie record and its
 open flag; its ladder is rebuilt when the unit is searched (_ladder), and
-its record is derived there.
+its record is derived there.  A unit of n-1 rows (n <= 3) has only leaves
+below it, so it carries no record: None and False.
 
 A search with no beta cap is value-only (the largest inverse entry).  It
 tests canonicality on prefixes only: duplicates cannot change a maximum, so
@@ -412,16 +414,12 @@ def _unit_line(index: int, payload: dict) -> str:
     return f'{{"digest": "{digest}", {body}}}\n'
 
 
-def save_checkpoint(path: str, cp: SearchCheckpoint, index: int | None = None) -> None:
-    """Append the record of finished unit `index` to the journal at `path`.
-
-    Without `index`, replace the file with the whole journal of `cp`
-    atomically: temp file in the same directory, then rename.
+def save_checkpoint(path: str, cp: SearchCheckpoint) -> None:
+    """Replace the file at `path` with the whole journal of `cp`, atomically:
+    temp file in the same directory, then rename.  A search writes this once,
+    the header of a fresh journal, and appends each finished unit's record
+    through its own open handle (_run_search).
     """
-    if index is not None:
-        with open(path, "a") as fh:
-            fh.write(_unit_line(index, cp.completed[index]))
-        return
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(prefix=".ckpt-", dir=directory)
     try:
@@ -723,23 +721,21 @@ class _Generator:
 
     def _ties(self, rows, parent, tied: bool):
         """The tie record of `rows`, derived from `parent`, its parent's
-        record, and `tied`, whether its last row's verdict was open.  The
-        empty prefix, whose parent is None, is the one record searched from
-        scratch."""
+        record, and `tied`, whether its last row's verdict was open.  A
+        parent of None means a search from scratch, which the engine runs
+        for the empty prefix alone."""
         if parent is None:
             return prefix_ties(rows, self.n, self.big)
         return extend_ties(parent, rows[-1], tied)
 
-    def _canonical_children(self, rows, cand: np.ndarray, ties=None, opened=None) -> np.ndarray:
-        """Which children rows + [r], r a row of `cand`, are prefix-canonical.
+    def _canonical_children(self, ties, cand: np.ndarray, opened=None) -> np.ndarray:
+        """Which children ties.rows + [r], r a row of `cand`, are
+        prefix-canonical, from `ties`, the prefix's tie record.
 
-        One batch verdict over the whole batch, from `ties`, the tie record
-        of `rows` (prefix_ties when not given); a child whose verdict is
+        One batch verdict over the whole batch; a child whose verdict is
         open continues the level search (extend_ties).  `opened`, a set,
         when given, receives the rows of the open children.
         """
-        if ties is None:
-            ties = prefix_ties(rows, self.n, self.big)
         beaten, open_ = children_verdicts(ties, cand, self.big)
         ok = ~beaten
         for pos in np.flatnonzero(open_):
@@ -759,22 +755,19 @@ class _Generator:
         the prefix's bilinear forms built here, drops every child strictly
         below the running best.  Canonicality is tested on the children left
         only.  Both are per-child tests against the best at the start, so
-        their order changes no survivor.  Returns (keep, reach, forms,
-        ties, opened): the kept children's bounds and the forms, both None
-        in an enumeration, the prefix's tie record, None when no child was
-        left to test, and the rows of the open children.
+        their order changes no survivor.  Returns (keep, reach, forms): the
+        kept children's bounds and the forms, both None in an enumeration.
+        The children hold n-1 rows, so their own children are leaves, which
+        _record tests alone: no tie record leaves here.
         """
-        opened = set()
         if self.p.beta_cap is not None:
-            ties = self._ties(rows, parent, tied)
-            return self._canonical_children(rows, ys, ties, opened), None, None, ties, opened
+            return self._canonical_children(self._ties(rows, parent, tied), ys), None, None
         forms = _pair_forms(self.n, rows, ladder).T
         reach = _beta_reach(self.p.alpha, zmap, forms, ys, grown)
-        keep, ties = reach >= self.best_beta, None
+        keep = reach >= self.best_beta
         if keep.any():
-            ties = self._ties(rows, parent, tied)
-            keep[keep] = self._canonical_children(rows, ys[keep], ties, opened)
-        return keep, reach[keep], forms, ties, opened
+            keep[keep] = self._canonical_children(self._ties(rows, parent, tied), ys[keep])
+        return keep, reach[keep], forms
 
     def _rows(self, idx) -> np.ndarray:
         """Rows idx of the space, as integers."""
@@ -976,15 +969,15 @@ class _Generator:
         is grown[c] up to order and sign, which _candidates has tested;
         _completions tests column n-2, and the bilinear columns are
         assembled for its survivors only.  The determinants are +-1, so
-        every test and every stored beta reads inverse magnitudes.
+        every test and every stored beta reads inverse magnitudes.  Each
+        child's kept completions take one _record call, under rows + [y],
+        or under the unit itself when it holds n-1 rows.
         """
         n, reach, forms = self.n, None, None
         if n > 1:
             ys, zmap = self._rows(idx), _zmap(n, ladder)
             if len(rows) + 2 == n:  # else stage 1 kept this unit of n-1 rows
-                keep, reach, forms, ties, opened = self._survivors(
-                    rows, ladder, zmap, ys, grown, parent, tied
-                )
+                keep, reach, forms = self._survivors(rows, ladder, zmap, ys, grown, parent, tied)
                 if not keep.any():
                     return
                 idx, ys, grown = idx[keep], ys[keep], grown[keep]
@@ -1019,22 +1012,19 @@ class _Generator:
                 if reach is None or reach[k] >= self.best_beta:
                     self._spend(int(nodes[k - c0]))
                     a, b = bounds[k - c0], bounds[k - c0 + 1]
-                    if b > a and len(rows) == n - 1:  # the unit itself
-                        self._record(rows, xs[a:b], dets[a:b], betas[a:b], parent, tied)
-                    elif b > a:
-                        y = tuple(ys[k].tolist())
-                        head = rows + [y]
-                        self._record(head, xs[a:b], dets[a:b], betas[a:b], ties, y in opened)
+                    if b > a:
+                        head = rows if len(rows) == n - 1 else rows + [tuple(ys[k].tolist())]
+                        self._record(head, xs[a:b], dets[a:b], betas[a:b])
 
-    def _record(self, rows, xs: np.ndarray, dets, betas: np.ndarray, parent, tied):
+    def _record(self, rows, xs: np.ndarray, dets, betas: np.ndarray):
         """Record the kept completions of the n-1 rows `rows` by the rows xs
         of the space, which passed the leaf filters with determinants `dets`
-        and largest inverse magnitudes `betas`; _ties derives the tie record
-        of `rows` from `parent` and `tied`.
+        and largest inverse magnitudes `betas`.
 
-        An enumeration keeps the canonical leaves.  A value-only search keeps
-        the leaves that attain alpha and their largest beta, unless it is
-        below the running best.
+        An enumeration keeps the leaves that equal their own canonical
+        form: minimize_rows on the finished matrix, the test max-beta's
+        witness takes too.  A value-only search keeps the leaves that attain
+        alpha and their largest beta, unless it is below the running best.
         """
         cand = self._rows(xs)
         prefix = [x for row in rows for x in row]
@@ -1050,8 +1040,11 @@ class _Generator:
                 self.best_beta, self.found = beta, {}
             kept = np.flatnonzero(keep & (betas == beta))
         else:
-            ties = self._ties(rows, parent, tied)
-            kept = np.flatnonzero(self._canonical_children(rows, cand, ties))
+            kept = [
+                pos
+                for pos, x in enumerate(cand.tolist())
+                if minimize_rows(rows + [x], self.n, True) is not None
+            ]
         for pos in kept:
             entries = prefix + cand[pos].tolist()
             self.found.setdefault(f"{attained[pos]},{betas[pos]}", []).append(
@@ -1086,11 +1079,11 @@ class _Generator:
         `first` and `last` index the first and last rows of `rows` in the
         space (None and 0 for the empty prefix), and `base_mask` is
         _base_mask(first).  `parent` is the tie record of rows' parent (None
-        for the empty prefix) and `tied` whether the last row's verdict was
-        open: the record of `rows` is derived from them (_ties) only when
-        its children are tested.  A prefix of `stop_depth` rows goes to
-        `sink` as (rows, first, last, parent, tied) instead of being
-        searched.
+        for the empty prefix, and for a prefix of n-1 rows, whose children
+        are leaves) and `tied` whether the last row's verdict was open: the
+        record of `rows` is derived from them (_ties) only when its
+        children are tested.  A prefix of `stop_depth` rows goes to `sink`
+        as (rows, first, last, parent, tied) instead of being searched.
         """
         if len(rows) == stop_depth:
             sink((rows, first, last, parent, tied))
@@ -1109,12 +1102,11 @@ class _Generator:
             return
         cand = self._rows(idx)
         if len(rows) + 2 == n:  # stage 1 keeps units of n-1 rows (n <= 3) the same way
-            ok, _, _, ties, opened = self._survivors(
-                rows, ladder, _zmap(n, ladder), cand, grown, parent, tied
-            )
+            ok = self._survivors(rows, ladder, _zmap(n, ladder), cand, grown, parent, tied)[0]
+            ties, opened = None, ()  # their children are leaves: no record
         else:
             ties, opened = self._ties(rows, parent, tied), set()
-            ok = self._canonical_children(rows, cand, ties, opened)
+            ok = self._canonical_children(ties, cand, opened)
         for pos, row in enumerate(cand.tolist()):
             self._spend()
             if not ok[pos]:
@@ -1141,7 +1133,7 @@ class _Generator:
         parent, tied), with `parent` and `tied` as in _descend; run_subtree
         searches below it.  Its minor ladder is rebuilt there: kept here,
         the ladders would hold every stage-1 minor array.  The empty
-        prefix's tie record is the search's one from-scratch level search
+        prefix's tie record is the search's one from-scratch prefix search
         (prefix_ties); every other record is derived from its parent's.
         """
         out = []

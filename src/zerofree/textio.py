@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 from .matrix import IntMatrix
@@ -22,6 +23,17 @@ class MatrixParseError(ValueError):
             message = f"line {line_no}: {message}"
         super().__init__(message)
         self.line_no = line_no
+
+
+def _integer(value, name: str) -> int:
+    """A JSON integer field as an int, by operator.index; a JSON boolean,
+    which operator.index would read as 0 or 1, is not one."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError
+        return operator.index(value)
+    except TypeError:
+        raise MatrixParseError(f"{name} is not an integer: {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -48,13 +60,19 @@ class MatrixRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "MatrixRecord":
+        """The record to_json wrote.  n, alpha, beta and the entries are read
+        through operator.index, as IntMatrix reads entries, and positive
+        must be a JSON boolean: a field of another type raises
+        MatrixParseError instead of being coerced."""
         raw = json.loads(text)
+        if not isinstance(raw["positive"], bool):
+            raise MatrixParseError(f"positive is not a boolean: {raw['positive']!r}")
         return cls(
-            n=int(raw["n"]),
-            alpha=int(raw["alpha"]),
-            beta=int(raw["beta"]),
-            positive=bool(raw["positive"]),
-            entries=tuple(int(x) for x in raw["entries"]),
+            n=_integer(raw["n"], "n"),
+            alpha=_integer(raw["alpha"], "alpha"),
+            beta=_integer(raw["beta"], "beta"),
+            positive=raw["positive"],
+            entries=tuple(_integer(x, "entry") for x in raw["entries"]),
         )
 
     def matrix(self) -> IntMatrix:

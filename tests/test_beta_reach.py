@@ -208,13 +208,13 @@ def test_canonicality_sees_only_the_children_the_bound_keeps(monkeypatch, mode):
 
     canonical_children = engine._Generator._canonical_children
 
-    def checked(self, rows, cand, *ties):
-        if len(rows) == n - 2:
+    def checked(self, ties, cand, *opened):
+        if len(ties.rows) == n - 2:
             ys, out = bounded[-1]
             assert np.array_equal(cand, ys[out >= self.best_beta])
             seen["tested"] += 1
             seen["children"] += len(cand)
-        return canonical_children(self, rows, cand, *ties)
+        return canonical_children(self, ties, cand, *opened)
 
     monkeypatch.setattr(engine, "_beta_reach", reach)
     monkeypatch.setattr(engine._Generator, "_canonical_children", checked)

@@ -428,7 +428,6 @@ def _assert_derived_records(ties, n, rng, zeros, count, depth):
         assert derived.rows == scratch.rows
         assert [len(states) for states in derived.levels] == [len(s) for s in scratch.levels]
         assert [set(states) for states in derived.levels] == [set(s) for s in scratch.levels]
-        assert derived.keys.keys() == scratch.keys.keys()
         assert _placement_rows(derived) == _placement_rows(scratch)
         if depth and len(rows) + 2 < n and followed < 2:
             followed += 1

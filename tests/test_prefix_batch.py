@@ -41,7 +41,8 @@ def _check(n, alpha, zeros, rows, cand):
     assert not (beaten & open_).any()
     assert not truth[beaten].any()
     assert truth[~beaten & ~open_].all()
-    assert (_generator(n, alpha, zeros)._canonical_children(rows, cand) == truth).all()
+    ties = prefix_ties(rows, n, big)
+    assert (_generator(n, alpha, zeros)._canonical_children(ties, cand) == truth).all()
     return open_, truth[open_]
 
 
@@ -143,21 +144,24 @@ def _max_beta(n, alpha, mode):
 
 
 @pytest.mark.parametrize(
-    "search, runs, witness",
+    "search, n, runs, leaves",
     [
-        pytest.param(_enumerate(1, 1, 1), 1, 0, id="enumerate_1_1_1"),
-        pytest.param(_enumerate(2, 3, 3), 1, 0, id="enumerate_2_3_3"),
-        pytest.param(_enumerate(3, 3, (2, 9)), 1, 0, id="enumerate_3_3_2-9"),
-        pytest.param(_enumerate(4, 3, 3), 1, 0, id="enumerate_4_3_3"),
-        # the zerofree floor pass, then the unrestricted search
-        pytest.param(_max_beta(3, 2, "unrestricted"), 2, 1, id="max_beta_3_2_unrestricted"),
-        pytest.param(_max_beta(4, 2, "zerofree"), 1, 1, id="max_beta_4_2_zerofree"),
+        pytest.param(_enumerate(1, 1, 1), 1, 1, 1, id="enumerate_1_1_1"),
+        pytest.param(_enumerate(2, 3, 3), 2, 1, 8, id="enumerate_2_3_3"),
+        pytest.param(_enumerate(3, 3, (2, 9)), 3, 1, 204, id="enumerate_3_3_2-9"),
+        pytest.param(_enumerate(4, 3, 3), 4, 1, 710, id="enumerate_4_3_3"),
+        # the zerofree floor pass, then the unrestricted search; a value-only
+        # search tests its one witness, not its leaves
+        pytest.param(_max_beta(3, 2, "unrestricted"), 3, 2, 1, id="max_beta_3_2_unrestricted"),
+        pytest.param(_max_beta(4, 2, "zerofree"), 4, 1, 1, id="max_beta_4_2_zerofree"),
     ],
 )
-def test_a_search_runs_one_level_search_from_scratch(monkeypatch, search, runs, witness):
-    # the empty prefix's tie record is searched once per run; every other
-    # record is derived from its parent's, and only max-beta's witness
-    # check calls minimize_rows
+def test_a_search_runs_one_level_search_from_scratch(monkeypatch, search, n, runs, leaves):
+    # the empty prefix's tie record is searched from scratch once per run
+    # (every other prefix's record is derived from its parent's; at n = 1
+    # the empty prefix's children are leaves, so it has none), and every
+    # other from-scratch level search is minimize_rows on a finished
+    # matrix: an enumeration leaf or max-beta's witness, never a prefix
     counts = collections.Counter()
 
     def counting(name, fn):
@@ -167,9 +171,37 @@ def test_a_search_runs_one_level_search_from_scratch(monkeypatch, search, runs, 
 
         return wrapper
 
+    def whole(rows, ncols, test=False):
+        assert len(rows) == ncols == n and test
+        counts["minimize_rows"] += 1
+        return minimize_rows(rows, ncols, test)
+
     monkeypatch.setattr(canonical, "_level_search", counting("scratch", canonical._level_search))
-    monkeypatch.setattr(engine, "minimize_rows", counting("minimize_rows", engine.minimize_rows))
+    monkeypatch.setattr(engine, "prefix_ties", counting("prefix_ties", engine.prefix_ties))
+    monkeypatch.setattr(engine, "minimize_rows", whole)
     monkeypatch.setattr(engine, "_run_search", counting("runs", engine._run_search))
     search()
-    assert (counts["runs"], counts["scratch"]) == (runs, runs + witness)
-    assert counts["minimize_rows"] == witness
+    assert (counts["runs"], counts["prefix_ties"]) == (runs, runs if n > 1 else 0)
+    assert (counts["scratch"], counts["minimize_rows"]) == (counts["prefix_ties"] + leaves, leaves)
+
+
+def test_every_placement_table_the_engine_builds_has_distinct_rows(monkeypatch):
+    # placements are not deduplicated: the engine's prefixes pass the gcd
+    # test, so their rows are independent, and no two states of one level
+    # agree in profiles and signs
+    tables = []
+    table = canonical.Ties.table
+
+    def recorded(ties):
+        built = ties._table is None
+        out = table.fget(ties)
+        if built:
+            tables.append(out)
+        return out
+
+    monkeypatch.setattr(canonical.Ties, "table", property(recorded))
+    engine.enumerate_classes(engine.ClassQuery(4, 3, 3, thread_budget=1))
+    engine.max_beta_search(4, 2, "unrestricted", thread_budget=1)
+    assert len(tables) > 100
+    for t in tables:
+        assert len(np.unique(t, axis=0)) == len(t)

@@ -1,5 +1,7 @@
 """Matrix line parsing and record serialization."""
 
+import json
+
 import pytest
 
 import zerofree
@@ -104,3 +106,26 @@ def test_record_json_round_trip():
     again = MatrixRecord.from_json(rec.to_json())
     assert again == rec
     assert again.matrix() == IntMatrix.from_rows([[1, 2], [2, 3]])
+
+
+def test_record_json_refuses_what_it_would_have_coerced():
+    # int() and bool() read this record as alpha 2, positive True and
+    # entries (1, 1, 1, 2)
+    text = '{"n": 2, "alpha": 2.9, "beta": 2, "positive": "false", "entries": [1, 1, 1, 2.5]}'
+    with pytest.raises(MatrixParseError):
+        MatrixRecord.from_json(text)
+    good = {"n": 2, "alpha": 3, "beta": 3, "positive": True, "entries": [1, 2, 2, 3]}
+    bad = [
+        ("alpha", 2.9, "alpha"),
+        ("n", 2.0, "n"),
+        ("beta", "3", "beta"),
+        ("n", True, "n"),
+        ("positive", "false", "positive"),
+        ("positive", 0, "positive"),
+        ("entries", [1, 1, 1, 2.5], "entry"),
+        ("entries", [1, 2, 2, False], "entry"),
+    ]
+    for key, value, field in bad:
+        with pytest.raises(MatrixParseError, match=field):
+            MatrixRecord.from_json(json.dumps({**good, key: value}))
+    assert MatrixRecord.from_json(json.dumps(good)).entries == (1, 2, 2, 3)
