@@ -42,13 +42,13 @@ unmerged, and a table, built from them, with one row per placement of a new
 row after one of them.  children_verdicts reads the table once for every
 candidate row: a child fails when an image beats its target, and passes
 when none does and no image ties with a prefix row below its own level.  An
-image equal to a prefix row keeps a state that uses the new row, so such a
-child's verdict is open and extend_ties continues the level search from the
-prefix's levels.  The same call derives a child's record from its parent's:
-a passed child's new states are its final level alone.  prefix_ties
-searches a record from scratch; the engine does so only for the empty
-prefix.  Records are for prefixes, which have many children each: a
-finished matrix takes minimize_rows in test mode instead.
+image equal to a prefix row keeps a state that uses the new row, so
+canonical_children decides such a child by extend_ties, which continues the
+level search from the prefix's levels.  The same call derives every
+child's record from its parent's.  prefix_ties searches a record from
+scratch; the engine does so only for the empty prefix.  Records are for
+prefixes, which have many children each: a finished matrix takes
+minimize_rows in test mode instead.
 """
 
 from __future__ import annotations
@@ -417,28 +417,26 @@ def prefix_ties(rows, ncols, big) -> Ties:
     return Ties(tuple(rows), big, kpos, kneg, levels)
 
 
-def extend_ties(ties: Ties, row, tied: bool) -> Ties | None:
+def extend_ties(ties: Ties, row) -> Ties | None:
     """The tie record of ties.rows + [row], derived from the block's, for a
-    row that children_verdicts did not find beaten; `tied` is its open
-    verdict.  None if the child is not canonical after all.
+    row that children_verdicts did not find beaten; None if the child is not
+    canonical after all.
 
     The child's states at each level are the block's, which never re-place
-    a block row, plus the states that use `row`.  A passed child (not
-    tied) has no state of the second kind below its own level k, so only
-    its final level is new: the block's final states with `row` placed so
-    that its image equals it.  An open child continues the test-mode level
-    search of rows + [row] from the block's levels: at each level `row` is
-    placed after the block's states, and the block's unused rows after the
-    states that already use `row`; the search stops at the first image
-    below its target.
+    a block row, plus the states that use `row`.  The call continues the
+    test-mode level search of rows + [row] from the block's levels: at each
+    level `row` is placed after the block's states, and the block's unused
+    rows after the states that already use `row`; the search stops at the
+    first image below its target.  A child that no image ties below its own
+    level k gains no state there, so its new states are its final level
+    alone.
     """
     k, big = len(ties.rows), ties.big
     kpos = ties.kpos + (tuple([entry_key(x, big) for x in row]),)
     kneg = ties.kneg + (tuple([entry_key(-x, big) for x in row]),)
-    start = 0 if tied else k
-    levels = ties.levels[: start + 1]
+    levels = ties.levels[:1]
     states = []
-    for d in range(start, k + 1):
+    for d in range(k + 1):
         groups = [(ties.levels[d], (k,)), (states, range(k))]
         _, kept = _level(groups, kpos, kneg, big, d > 0, kpos[d])
         if kept is None:
@@ -483,6 +481,17 @@ def children_verdicts(ties: Ties, cand: np.ndarray, big: int):
         beaten[lo : lo + step] = (packed < np.where(last, own[:, None], target)).any(axis=1)
         tied[lo : lo + step] = (packed[:, ~last] == target[~last]).any(axis=1)
     return beaten, tied & ~beaten
+
+
+def canonical_children(ties: Ties, cand: np.ndarray) -> np.ndarray:
+    """Which children ties.rows + [r], r a row of `cand`, are
+    prefix-canonical: one batch verdict (children_verdicts), and the
+    continued level search (extend_ties) for each open child."""
+    beaten, open_ = children_verdicts(ties, cand, ties.big)
+    ok = ~beaten
+    for pos in np.flatnonzero(open_):
+        ok[pos] = extend_ties(ties, cand[pos].tolist()) is not None
+    return ok
 
 
 def canonical_form(m: IntMatrix) -> IntMatrix:

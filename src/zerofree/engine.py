@@ -11,15 +11,14 @@ matrix survives only while
     respects the complementary-minor bound |minor| <= (n-k)! * cap^(n-k)
     that a bounded inverse forces on a unimodular matrix.
 
-The children of one prefix are tested for canonicality together: one
-vectorized verdict (canonical.children_verdicts) reads the prefix's tie
-record for every candidate next row, and only the children whose image
-ties with a prefix row take the scalar test, which continues the prefix's
-level search (canonical.extend_ties).  Tie records travel down the descent:
-a prefix carries its parent's record and whether its own verdict was open,
-and its record is derived from them (_Generator._ties) only when its
-children are tested.  The empty prefix's record is a search's one prefix
-level search from scratch.
+The children of one prefix are tested for canonicality together
+(canonical.canonical_children): one vectorized verdict reads the prefix's
+tie record for every candidate next row, and only the children whose image
+ties with a prefix row continue the prefix's level search.  Tie records
+travel down the descent: a prefix carries its parent's record, and its own
+is derived from it (_Generator._ties, by canonical.extend_ties) only when
+its children are tested.  The empty prefix's record is a search's one
+prefix level search from scratch.
 
 A finished matrix is accepted only if it equals its own canonical form,
 so every class is emitted exactly once, as its representative, with no
@@ -56,10 +55,10 @@ its first i rows, one per column subset in itertools.combinations order.
 Every minor, determinant and cofactor the engine computes is a generalized
 Laplace expansion of a stacked block, and every expansion's terms and signs
 come from one table, _laplace.  A stored work unit keeps its rows, the
-space indices of its first and last rows, its parent's tie record and its
-open flag; its ladder is rebuilt when the unit is searched (_ladder), and
-its record is derived there.  A unit of n-1 rows (n <= 3) has only leaves
-below it, so it carries no record: None and False.
+space indices of its first and last rows and its parent's tie record; its
+ladder is rebuilt when the unit is searched (_ladder), and its record is
+derived there.  A unit of n-1 rows (n <= 3) has only leaves below it, so it
+carries no record: None.
 
 A search with no beta cap is value-only (the largest inverse entry).  It
 tests canonicality on prefixes only: duplicates cannot change a maximum, so
@@ -109,7 +108,7 @@ import numpy as np
 
 from .canonical import (
     CanonicalClass,
-    children_verdicts,
+    canonical_children,
     entry_key,
     extend_ties,
     key_big,
@@ -719,37 +718,19 @@ class _Generator:
         self.found: dict[str, list] = {}
         self.best_beta = params.floor
 
-    def _ties(self, rows, parent, tied: bool):
+    def _ties(self, rows, parent):
         """The tie record of `rows`, derived from `parent`, its parent's
-        record, and `tied`, whether its last row's verdict was open.  A
-        parent of None means a search from scratch, which the engine runs
-        for the empty prefix alone."""
+        record.  A parent of None means a search from scratch, which the
+        engine runs for the empty prefix alone."""
         if parent is None:
             return prefix_ties(rows, self.n, self.big)
-        return extend_ties(parent, rows[-1], tied)
+        return extend_ties(parent, rows[-1])
 
-    def _canonical_children(self, ties, cand: np.ndarray, opened=None) -> np.ndarray:
-        """Which children ties.rows + [r], r a row of `cand`, are
-        prefix-canonical, from `ties`, the prefix's tie record.
-
-        One batch verdict over the whole batch; a child whose verdict is
-        open continues the level search (extend_ties).  `opened`, a set,
-        when given, receives the rows of the open children.
-        """
-        beaten, open_ = children_verdicts(ties, cand, self.big)
-        ok = ~beaten
-        for pos in np.flatnonzero(open_):
-            row = tuple(cand[pos].tolist())
-            ok[pos] = extend_ties(ties, row, True) is not None
-            if opened is not None:
-                opened.add(row)
-        return ok
-
-    def _survivors(self, rows, ladder, zmap, ys, grown, parent, tied):
+    def _survivors(self, rows, ladder, zmap, ys, grown, parent):
         """Which children rows + [y] of a prefix of n-2 rows the search keeps,
         y a row of `ys` with (n-1)-column minors `grown`; `ladder` is the
         prefix's minor ladder, `zmap` its _zmap, and _ties derives its tie
-        record from `parent` and `tied`.
+        record from `parent`.
 
         Here alone a value-only search bounds its children: _beta_reach, from
         the prefix's bilinear forms built here, drops every child strictly
@@ -761,12 +742,12 @@ class _Generator:
         _record tests alone: no tie record leaves here.
         """
         if self.p.beta_cap is not None:
-            return self._canonical_children(self._ties(rows, parent, tied), ys), None, None
+            return canonical_children(self._ties(rows, parent), ys), None, None
         forms = _pair_forms(self.n, rows, ladder).T
         reach = _beta_reach(self.p.alpha, zmap, forms, ys, grown)
         keep = reach >= self.best_beta
         if keep.any():
-            keep[keep] = self._canonical_children(self._ties(rows, parent, tied), ys[keep])
+            keep[keep] = canonical_children(self._ties(rows, parent), ys[keep])
         return keep, reach[keep], forms
 
     def _rows(self, idx) -> np.ndarray:
@@ -947,16 +928,16 @@ class _Generator:
             pos = np.arange(end[a] - length[a], end[b - 1]) + shift[hit]
             yield child[hit], xs[pos], dets[hit], mid[hit]
 
-    def _accept_batch(self, rows, ladder, idx, grown, base_mask, parent, tied):
+    def _accept_batch(self, rows, ladder, idx, grown, base_mask, parent):
         """Finish the search below the children of one prefix.
 
         `rows` holds n-2 rows with minor ladder `ladder`, and _ties derives
-        its tie record from `parent` and `tied`; child c is row idx[c] of
-        the space, with (n-1)-column minors grown[c].  _survivors keeps the
-        children first: the bound of a value-only search, then
-        canonicality.  A work unit that already holds n-1 rows (n <= 3) is
-        the one child of its prefix, which stage 1 has kept the same way:
-        `rows` is the unit and idx holds its last row (0 for n = 1).
+        its tie record from `parent`; child c is row idx[c] of the space,
+        with (n-1)-column minors grown[c].  _survivors keeps the children
+        first: the bound of a value-only search, then canonicality.  A work
+        unit that already holds n-1 rows (n <= 3) is the one child of its
+        prefix, which stage 1 has kept the same way: `rows` is the unit and
+        idx holds its last row (0 for n = 1).
 
         zmap (_zmap) maps x to z(x), inverse column n-2 times det, keyed at
         the columns `pick`, and _pair_forms gives the bilinear columns
@@ -977,7 +958,7 @@ class _Generator:
         if n > 1:
             ys, zmap = self._rows(idx), _zmap(n, ladder)
             if len(rows) + 2 == n:  # else stage 1 kept this unit of n-1 rows
-                keep, reach, forms = self._survivors(rows, ladder, zmap, ys, grown, parent, tied)
+                keep, reach, forms = self._survivors(rows, ladder, zmap, ys, grown, parent)
                 if not keep.any():
                     return
                 idx, ys, grown = idx[keep], ys[keep], grown[keep]
@@ -1072,7 +1053,6 @@ class _Generator:
         stop_depth: int,
         sink,
         parent,
-        tied: bool,
     ):
         """Search below `rows`, whose minor ladder is `ladder`.
 
@@ -1080,33 +1060,32 @@ class _Generator:
         space (None and 0 for the empty prefix), and `base_mask` is
         _base_mask(first).  `parent` is the tie record of rows' parent (None
         for the empty prefix, and for a prefix of n-1 rows, whose children
-        are leaves) and `tied` whether the last row's verdict was open: the
-        record of `rows` is derived from them (_ties) only when its
-        children are tested.  A prefix of `stop_depth` rows goes to `sink`
-        as (rows, first, last, parent, tied) instead of being searched.
+        are leaves): the record of `rows` is derived from it (_ties) only
+        when its children are tested.  A prefix of `stop_depth` rows goes
+        to `sink` as (rows, first, last, parent) instead of being searched.
         """
         if len(rows) == stop_depth:
-            sink((rows, first, last, parent, tied))
+            sink((rows, first, last, parent))
             return
         n = self.n
         if len(rows) + 1 == n:  # a unit of n-1 rows is the one child of its prefix
             only = np.array([last])
-            self._accept_batch(rows, ladder, only, ladder[-1][None], base_mask, parent, tied)
+            self._accept_batch(rows, ladder, only, ladder[-1][None], base_mask, parent)
             return
         idx, grown = self._candidates(rows, ladder[-1], base_mask, last)
         if not len(idx):
             return
         if len(rows) + 2 == n < stop_depth:  # stage 2 finishes both last rows at once
             self._spend(len(idx))
-            self._accept_batch(rows, ladder, idx, grown, base_mask, parent, tied)
+            self._accept_batch(rows, ladder, idx, grown, base_mask, parent)
             return
         cand = self._rows(idx)
         if len(rows) + 2 == n:  # stage 1 keeps units of n-1 rows (n <= 3) the same way
-            ok = self._survivors(rows, ladder, _zmap(n, ladder), cand, grown, parent, tied)[0]
-            ties, opened = None, ()  # their children are leaves: no record
+            ok = self._survivors(rows, ladder, _zmap(n, ladder), cand, grown, parent)[0]
+            ties = None  # their children are leaves: no record
         else:
-            ties, opened = self._ties(rows, parent, tied), set()
-            ok = self._canonical_children(ties, cand, opened)
+            ties = self._ties(rows, parent)
+            ok = canonical_children(ties, cand)
         for pos, row in enumerate(cand.tolist()):
             self._spend()
             if not ok[pos]:
@@ -1115,37 +1094,29 @@ class _Generator:
             if not rows:  # row i becomes the first row
                 first, base_mask = i, self._base_mask(i)
             self._descend(
-                rows + [row],
-                ladder + [grown[pos]],
-                first,
-                i,
-                base_mask,
-                stop_depth,
-                sink,
-                ties,
-                row in opened,
+                rows + [row], ladder + [grown[pos]], first, i, base_mask, stop_depth, sink, ties
             )
 
     def run_prefixes(self, stop_depth: int):
         """Stage 1: every accepted prefix of `stop_depth` rows, in order.
 
         A prefix is (rows, index of the first row, index of the last row,
-        parent, tied), with `parent` and `tied` as in _descend; run_subtree
-        searches below it.  Its minor ladder is rebuilt there: kept here,
-        the ladders would hold every stage-1 minor array.  The empty
-        prefix's tie record is the search's one from-scratch prefix search
-        (prefix_ties); every other record is derived from its parent's.
+        parent), with `parent` as in _descend; run_subtree searches below
+        it.  Its minor ladder is rebuilt there: kept here, the ladders would
+        hold every stage-1 minor array.  The empty prefix's tie record is
+        the search's one from-scratch prefix search (prefix_ties); every
+        other record is derived from its parent's.
         """
         out = []
         root = _ladder(self.n, [])
-        self._descend([], root, None, 0, self._base_mask(None), stop_depth, out.append, None, False)
+        self._descend([], root, None, 0, self._base_mask(None), stop_depth, out.append, None)
         return out
 
-    def run_subtree(self, rows, first, last, parent, tied):
+    def run_subtree(self, rows, first, last, parent):
         """Finish the search below one stored prefix."""
         ladder = _ladder(self.n, rows)
         base_mask = self._base_mask(first)
-        self._descend(rows, ladder, first, last, base_mask, self.n + 1, None, parent, tied)
+        self._descend(rows, ladder, first, last, base_mask, self.n + 1, None, parent)
 
     def payload(self) -> dict:
         """This search's result as a JSON-ready work-unit record."""
@@ -1206,9 +1177,9 @@ def _run_search(
     unit's budget when the loop asks for it; Executor.map reads every budget
     at submission.  A pool starts for two units or more, with at most one
     worker per CPU the process may run on.  Kept units are merged in unit
-    order into (alpha, beta) buckets.  With `checkpoint_path`, the journal
-    is opened once for appending, and each kept unit's record is written
-    and flushed as it is kept.  A value-only search's running best starts
+    order into (alpha, beta) buckets.  With `checkpoint_path`, one append
+    handle on the journal serves the search, and each kept unit's record is
+    written and flushed as it is kept.  A value-only search's running best starts
     at params.floor, which the journal's query leaves out: only
     enumerations pass a checkpoint.
     """
@@ -1438,8 +1409,8 @@ def max_beta_search(
     engine's zero-first order 0 < 1 < 2 < ... < -1 < -2 < ..., which is the
     first canonical maximiser in search order.  The search is the engine's
     one search with no beta cap: each unit keeps only the bucket of its
-    best beta, so the largest merged bucket is beta_max and holds the tied
-    leaves, the smallest of which is the witness.
+    best beta, so the largest merged bucket is beta_max and holds every
+    leaf that attains it, the smallest of which is the witness.
 
     Without a node limit, unrestricted mode first runs the zerofree search
     for the same (n, alpha): a zerofree maximiser is an unrestricted matrix
@@ -1473,11 +1444,11 @@ def max_beta_search(
     if not beta_max:
         raise ValueError(f"no unimodular matrix attains max |entry| = {alpha} for n = {n}")
     # A leaf's canonical form is a leaf of the same or an earlier unit, and the
-    # finished units are a prefix of the unit order, so the smallest tied leaf
-    # is canonical.
+    # finished units are a prefix of the unit order, so the smallest leaf at
+    # beta_max is canonical.
     witness = _classes(n, raw.buckets, alpha, beta_max, beta_max)[0].rep
     if minimize_rows(witness.rows(), n, True) is None:
-        raise RuntimeError("the smallest tied leaf is not canonical")
+        raise RuntimeError("the smallest leaf at beta_max is not canonical")
     return MaxBetaResult(
         n=n,
         alpha=alpha,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .matrix import IntMatrix
 
@@ -60,20 +60,33 @@ class MatrixRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "MatrixRecord":
-        """The record to_json wrote.  n, alpha, beta and the entries are read
-        through operator.index, as IntMatrix reads entries, and positive
-        must be a JSON boolean: a field of another type raises
-        MatrixParseError instead of being coerced."""
-        raw = json.loads(text)
-        if not isinstance(raw["positive"], bool):
-            raise MatrixParseError(f"positive is not a boolean: {raw['positive']!r}")
-        return cls(
-            n=_integer(raw["n"], "n"),
-            alpha=_integer(raw["alpha"], "alpha"),
-            beta=_integer(raw["beta"], "beta"),
-            positive=raw["positive"],
-            entries=tuple(_integer(x, "entry") for x in raw["entries"]),
-        )
+        """The record to_json wrote, checked whole: a JSON object with
+        exactly its five keys; n, alpha, beta and the entries read through
+        operator.index, as IntMatrix reads entries, and positive a JSON
+        boolean; n*n entries, alpha their largest magnitude and positive
+        whether every entry is positive.  Any other document raises
+        MatrixParseError instead of being coerced or passed on."""
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise MatrixParseError(f"invalid JSON: {exc}") from None
+        keys = [f.name for f in fields(cls)]
+        if not isinstance(raw, dict) or set(raw) != set(keys):
+            raise MatrixParseError(f"not a JSON object with the keys {keys}")
+        n, alpha, beta = (_integer(raw[key], key) for key in ("n", "alpha", "beta"))
+        positive, entries = raw["positive"], raw["entries"]
+        if not isinstance(positive, bool):
+            raise MatrixParseError(f"positive is not a boolean: {positive!r}")
+        if not isinstance(entries, list):
+            raise MatrixParseError(f"entries is not a list: {entries!r}")
+        entries = tuple(_integer(x, "entry") for x in entries)
+        if n < 1 or len(entries) != n * n:
+            raise MatrixParseError(f"{len(entries)} entries for n = {n}")
+        if alpha != max(map(abs, entries)):
+            raise MatrixParseError(f"alpha {alpha} is not the largest entry magnitude")
+        if positive != (min(entries) > 0):
+            raise MatrixParseError(f"positive is {positive}, but the entries say otherwise")
+        return cls(n, alpha, beta, positive, entries)
 
     def matrix(self) -> IntMatrix:
         return IntMatrix(self.n, self.entries)

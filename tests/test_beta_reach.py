@@ -133,9 +133,9 @@ def _count_calls(monkeypatch):
 
         return wrapper
 
-    for name in ("_pair_forms", "_beta_reach"):
+    for name in ("_pair_forms", "_beta_reach", "canonical_children"):
         monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
-    for name in ("_accept_batch", "_survivors", "_canonical_children"):
+    for name in ("_accept_batch", "_survivors"):
         method = counting(name, getattr(engine._Generator, name))
         monkeypatch.setattr(engine._Generator, name, method)
     completions = engine._Generator._completions
@@ -177,7 +177,7 @@ def test_the_final_depth_batch_alone_bounds_from_forms_built_once(monkeypatch, n
         assert calls["_survivors"] == calls["_survivors in _accept_batch"] == calls["_accept_batch"]
         assert calls["_completions"] < calls["_accept_batch"]
         # a batch with no child left skips the canonicality test
-        assert calls["_canonical_children in _survivors"] < calls["_survivors"]
+        assert calls["canonical_children in _survivors"] < calls["_survivors"]
     else:
         assert calls["_survivors in _accept_batch"] == 0
     assert (calls["_survivors"] > 0) == (n > 1)
@@ -199,25 +199,30 @@ def test_canonicality_sees_only_the_children_the_bound_keeps(monkeypatch, mode):
     # each final-depth batch bounds its children first; the canonicality
     # test then gets exactly the children whose bound reaches the best at
     # the start of the batch, in search order
-    n, bounded, seen = 4, [], collections.Counter()
+    n, bounded, best, seen = 4, [], [], collections.Counter()
 
     def reach(alpha, zmap, forms, cand, grown):
         out = _beta_reach(alpha, zmap, forms, cand, grown)
         bounded.append((cand, out))
         return out
 
-    canonical_children = engine._Generator._canonical_children
+    survivors, canonical_children = engine._Generator._survivors, engine.canonical_children
 
-    def checked(self, ties, cand, *opened):
+    def started(self, *args):
+        best.append(self.best_beta)
+        return survivors(self, *args)
+
+    def checked(ties, cand):
         if len(ties.rows) == n - 2:
             ys, out = bounded[-1]
-            assert np.array_equal(cand, ys[out >= self.best_beta])
+            assert np.array_equal(cand, ys[out >= best[-1]])
             seen["tested"] += 1
             seen["children"] += len(cand)
-        return canonical_children(self, ties, cand, *opened)
+        return canonical_children(ties, cand)
 
     monkeypatch.setattr(engine, "_beta_reach", reach)
-    monkeypatch.setattr(engine._Generator, "_canonical_children", checked)
+    monkeypatch.setattr(engine._Generator, "_survivors", started)
+    monkeypatch.setattr(engine, "canonical_children", checked)
     res = max_beta_search(n, 2, mode, thread_budget=1)
     assert res.beta_max == {"zerofree": 26, "unrestricted": 30}[mode]
     assert seen["tested"] > 0

@@ -1,5 +1,6 @@
 """Structural ordering, group action, and canonical representatives."""
 
+import collections
 import itertools
 import math
 import random
@@ -13,6 +14,7 @@ from zerofree.canonical import (
     GroupElement,
     ZeroEntryError,
     apply,
+    canonical_children,
     canonical_form,
     canonical_form_oracle,
     children_verdicts,
@@ -404,24 +406,32 @@ def _children(rows, n, rng, zeros, count):
     return [c for c in cand if any(c)]
 
 
-def _assert_derived_records(ties, n, rng, zeros, count, depth):
-    """Every child's record derived from `ties` (extend_ties) equals the one
-    prefix_ties searches from scratch: the same states per level, the same
-    placements, and so the same verdicts on the child's own children; the
-    derived records of the first canonical children are checked `depth`
-    levels further down the same way."""
+def _assert_derived_records(ties, n, rng, zeros, count, depth, met):
+    """Every non-beaten child's record derived from `ties` (extend_ties)
+    equals the one prefix_ties searches from scratch, for passed and open
+    children alike: the same states per level, the same placements, and so
+    the same verdicts on the child's own children; canonical_children gives
+    every child minimize_rows' verdict.  The derived records of the first
+    canonical children are checked `depth` levels further down the same
+    way.  `met`, a Counter, counts the passed and open children."""
     rows = list(ties.rows)
     cand = _children(rows, n, rng, zeros, count)
     block = np.array(cand, dtype=np.int64).reshape(-1, n)
     beaten, open_ = children_verdicts(ties, block, ties.big)
     searched = children_verdicts(prefix_ties(rows, n, ties.big), block, ties.big)
     assert (beaten == searched[0]).all() and (open_ == searched[1]).all()
+    truth = [minimize_rows(rows + [r], n, True) is not None for r in cand]
+    assert canonical_children(ties, block).tolist() == truth
     followed = 0
-    for r, b, o in zip(cand, beaten.tolist(), open_.tolist()):
-        canonical = minimize_rows(rows + [r], n, True) is not None
-        derived = None if b else extend_ties(ties, r, o)
-        # the continued search of an open child is its canonicality test
+    for r, b, o, canonical in zip(cand, beaten.tolist(), open_.tolist(), truth):
+        if b:
+            continue
+        met["open" if o else "passed"] += 1
+        derived = extend_ties(ties, r)
+        # the continued search is an open child's canonicality test, and a
+        # passed child is canonical
         assert (derived is not None) == canonical
+        assert canonical or o
         if derived is None:
             continue
         scratch = prefix_ties(rows + [r], n, ties.big)
@@ -431,26 +441,29 @@ def _assert_derived_records(ties, n, rng, zeros, count, depth):
         assert _placement_rows(derived) == _placement_rows(scratch)
         if depth and len(rows) + 2 < n and followed < 2:
             followed += 1
-            _assert_derived_records(derived, n, rng, zeros, count, depth - 1)
+            _assert_derived_records(derived, n, rng, zeros, count, depth - 1, met)
 
 
 def _derived_sweep(seed, per_shape, count, whole_up_to):
     """Random blocks with and without zeros for n = 3..7, from the empty
     block on, then the symmetric ones; symmetric blocks of more than 4 rows
-    only up to n = whole_up_to, since their unmerged levels grow as k!."""
+    only up to n = whole_up_to, since their unmerged levels grow as k!.
+    The sweep meets passed and open children."""
     rng = random.Random(seed)
     big = key_big(3)
+    met = collections.Counter()
     for n in range(3, 8):
         for zeros in (False, True):
-            _assert_derived_records(prefix_ties([], n, big), n, rng, zeros, count, 1)
+            _assert_derived_records(prefix_ties([], n, big), n, rng, zeros, count, 1, met)
             for _ in range(per_shape):
                 block = _random_block(n, rng.randint(1, n - 1), rng, zeros)
                 rows = minimize_rows(block, n)
-                _assert_derived_records(prefix_ties(rows, n, big), n, rng, zeros, count, 1)
+                _assert_derived_records(prefix_ties(rows, n, big), n, rng, zeros, count, 1, met)
         for block in _symmetric_blocks(n, rng):
             rows = minimize_rows(block[: n - 1], n)
             if len(rows) <= 4 or n <= whole_up_to:
-                _assert_derived_records(prefix_ties(rows, n, big), n, rng, True, count, 1)
+                _assert_derived_records(prefix_ties(rows, n, big), n, rng, True, count, 1, met)
+    assert met["passed"] and met["open"], met
 
 
 def test_derived_tie_records_equal_the_searched_ones():

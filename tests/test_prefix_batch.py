@@ -1,7 +1,8 @@
 """The batched prefix-canonicality test against the scalar one: every child
 of a canonical prefix gets the verdict of minimize_rows, directly or through
 the scalar fallback for children that tie below the last level, which
-continues the prefix's level search (extend_ties)."""
+continues the prefix's level search (extend_ties).  canonical_children runs
+both."""
 
 import collections
 import itertools
@@ -11,6 +12,7 @@ import pytest
 
 from zerofree import canonical, engine
 from zerofree.canonical import (
+    canonical_children,
     children_verdicts,
     extend_ties,
     key_big,
@@ -32,17 +34,17 @@ def _generator(n, alpha, zeros):
 
 
 def _check(n, alpha, zeros, rows, cand):
-    """Compare both verdicts with minimize_rows; return the open children
-    and which of them are canonical."""
+    """Compare the batch verdict and canonical_children with minimize_rows,
+    child by child; return the open children and which of them are
+    canonical."""
     assert minimize_rows(rows, n, True) == rows
-    big = key_big(alpha)
-    beaten, open_ = children_verdicts(prefix_ties(rows, n, big), cand, big)
+    ties = prefix_ties(rows, n, key_big(alpha))
+    beaten, open_ = children_verdicts(ties, cand, ties.big)
     truth = np.array([minimize_rows(rows + [tuple(r)], n, True) is not None for r in cand.tolist()])
     assert not (beaten & open_).any()
     assert not truth[beaten].any()
     assert truth[~beaten & ~open_].all()
-    ties = prefix_ties(rows, n, big)
-    assert (_generator(n, alpha, zeros)._canonical_children(ties, cand) == truth).all()
+    assert (canonical.canonical_children(ties, cand) == truth).all()
     return open_, truth[open_]
 
 
@@ -96,19 +98,30 @@ SYMMETRIC = [
 
 def test_symmetric_prefixes_take_the_scalar_fallback(monkeypatch):
     # the scalar fallback of an open child continues the prefix's level
-    # search (extend_ties); the engine never searches a child from scratch
-    continued, scratch = [], []
+    # search (extend_ties); canonical_children never searches a child from
+    # scratch
+    continued, scratch, deciding = [], [], []
+    level_search = canonical._level_search
 
-    def counted(ties, row, tied):
-        continued.append((len(ties.rows), tied))
-        return extend_ties(ties, row, tied)
+    def counted(ties, row):
+        continued.append(len(ties.rows))
+        return extend_ties(ties, row)
+
+    def watched(ties, cand):
+        deciding.append(True)
+        try:
+            return canonical_children(ties, cand)
+        finally:
+            deciding.pop()
 
     def from_scratch(*args):
-        scratch.append(args)
-        return minimize_rows(*args)
+        if deciding:
+            scratch.append(args)
+        return level_search(*args)
 
-    monkeypatch.setattr(engine, "extend_ties", counted)
-    monkeypatch.setattr(engine, "minimize_rows", from_scratch)
+    monkeypatch.setattr(canonical, "extend_ties", counted)
+    monkeypatch.setattr(canonical, "canonical_children", watched)
+    monkeypatch.setattr(canonical, "_level_search", from_scratch)
     opened, open_canonical = 0, 0
     for n, alpha, zeros, block in SYMMETRIC:
         rows = minimize_rows(block, n)
@@ -126,10 +139,10 @@ def test_symmetric_prefixes_take_the_scalar_fallback(monkeypatch):
             space = _generator(n, alpha, zeros).cols.T.astype(np.int64)
             cand = np.array(sorted(moves) + space[:: len(space) // 200].tolist())
         before = len(continued)
-        open_, canonical = _check(n, alpha, zeros, rows, cand)
-        assert continued[before:] == [(len(rows), True)] * int(open_.sum())
+        open_, kept = _check(n, alpha, zeros, rows, cand)
+        assert continued[before:] == [len(rows)] * int(open_.sum())
         opened += int(open_.sum())
-        open_canonical += int(canonical.sum())
+        open_canonical += int(kept.sum())
     assert opened > 0 and len(continued) == opened and not scratch
     # open children go both ways, so neither verdict is a safe default
     assert 0 < open_canonical < opened

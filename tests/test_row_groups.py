@@ -156,7 +156,7 @@ def _run_batches(p, prefixes, wanted):
     """(rows, {child index: node count}) for the first `wanted` final-depth
     batches below `prefixes`, taken spread out over the list."""
     batches = []
-    for rows, first, last, parent, tied in prefixes[:: max(1, len(prefixes) // (50 * wanted))]:
+    for rows, first, last, parent in prefixes[:: max(1, len(prefixes) // (50 * wanted))]:
         gen = _Generator(p)
         completions = gen._completions
 
@@ -166,7 +166,7 @@ def _run_batches(p, prefixes, wanted):
                 yield c0, nodes, pieces
 
         gen._completions = record
-        gen.run_subtree(rows, first, last, parent, tied)
+        gen.run_subtree(rows, first, last, parent)
         if len(batches) >= wanted:
             break
     assert len(batches) == wanted

@@ -129,3 +129,28 @@ def test_record_json_refuses_what_it_would_have_coerced():
         with pytest.raises(MatrixParseError, match=field):
             MatrixRecord.from_json(json.dumps({**good, key: value}))
     assert MatrixRecord.from_json(json.dumps(good)).entries == (1, 2, 2, 3)
+
+
+def test_record_json_checks_the_whole_record():
+    # a document that is not a whole record raises MatrixParseError, never
+    # KeyError or TypeError, and yields no record
+    good = {"n": 2, "alpha": 3, "beta": 3, "positive": True, "entries": [1, 2, 2, 3]}
+    texts = [
+        "not json",
+        "[1, 2, 2, 3]",
+        "null",
+        json.dumps({k: v for k, v in good.items() if k != "beta"}),
+        json.dumps({**good, "det": 1}),
+        json.dumps({**good, "entries": [1, 2, 2]}),
+        json.dumps({**good, "entries": [1, 2, 2, 3, 3]}),
+        json.dumps({**good, "n": 0, "entries": []}),
+        json.dumps({**good, "entries": 1}),
+        json.dumps({**good, "alpha": 7}),
+        json.dumps({**good, "alpha": 2}),
+        json.dumps({**good, "entries": [1, 2, -2, 3]}),
+        json.dumps({**good, "positive": False}),
+    ]
+    for text in texts:
+        with pytest.raises(MatrixParseError):
+            MatrixRecord.from_json(text)
+    assert MatrixRecord.from_json(json.dumps({**good, "positive": False, "entries": [1, 2, -2, 3]}))
