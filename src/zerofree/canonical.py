@@ -213,7 +213,9 @@ def minimize_rows(rows, ncols, test=False):
 def _level_search(rows, ncols, test, big, levels=None):
     """minimize_rows at key width `big`; `levels`, when given, receives
     the state list in force before each level and the final one.  Test
-    mode compares each level's minimum with the block's own row.
+    mode gives each level the block's own row as its target (_level), as
+    extend_ties does: the level returns at the first image below the row,
+    and keeps only the states whose image equals it.
 
     After each level, interchangeable states are merged (_merge_ties), so
     2I+J and J keep one state after each level instead of n!/(n-d)!.  The
@@ -230,10 +232,11 @@ def _level_search(rows, ncols, test, big, levels=None):
     for depth in range(k):
         if levels is not None:
             levels.append(states)
-        best, kept = _level([(states, range(k))], kpos, kneg, big, depth > 0)
-        if test and best != kpos[depth]:
-            if best < kpos[depth]:
-                return None
+        target = kpos[depth] if test else None
+        best, kept = _level([(states, range(k))], kpos, kneg, big, depth > 0, target)
+        if kept is None:  # an image below the block's own row
+            return None
+        if not kept:
             raise AssertionError("canonical search lost the identity arrangement")
         out.append(best)
         states = list(kept)
@@ -446,7 +449,7 @@ def extend_ties(ties: Ties, row) -> Ties | None:
     return Ties(ties.rows + (tuple(row),), big, kpos, kneg, levels)
 
 
-def children_verdicts(ties: Ties, cand: np.ndarray, big: int):
+def children_verdicts(ties: Ties, cand: np.ndarray):
     """Prefix-canonicality of rows + [r] for every row r of `cand` at once.
 
     `ties` is the tie record of rows (prefix_ties or extend_ties).  In the
@@ -461,7 +464,7 @@ def children_verdicts(ties: Ties, cand: np.ndarray, big: int):
     Every other child passes.
     """
     m, ncols = cand.shape
-    k = len(ties.rows)
+    k, big = len(ties.rows), ties.big
     src, lift, level = ties.table[:, :ncols], ties.table[:, ncols:-1], ties.table[:, -1]
     # the packed rows; level k compares with r instead
     packed_rows = pack_keys(np.array(ties.kpos, dtype=np.int64).reshape(k, ncols), big)
@@ -487,7 +490,7 @@ def canonical_children(ties: Ties, cand: np.ndarray) -> np.ndarray:
     """Which children ties.rows + [r], r a row of `cand`, are
     prefix-canonical: one batch verdict (children_verdicts), and the
     continued level search (extend_ties) for each open child."""
-    beaten, open_ = children_verdicts(ties, cand, ties.big)
+    beaten, open_ = children_verdicts(ties, cand)
     ok = ~beaten
     for pos in np.flatnonzero(open_):
         ok[pos] = extend_ties(ties, cand[pos].tolist()) is not None

@@ -11,14 +11,17 @@ matrix survives only while
     respects the complementary-minor bound |minor| <= (n-k)! * cap^(n-k)
     that a bounded inverse forces on a unimodular matrix.
 
-The children of one prefix are tested for canonicality together
-(canonical.canonical_children): one vectorized verdict reads the prefix's
-tie record for every candidate next row, and only the children whose image
-ties with a prefix row continue the prefix's level search.  Tie records
-travel down the descent: a prefix carries its parent's record, and its own
-is derived from it (_Generator._ties, by canonical.extend_ties) only when
-its children are tested.  The empty prefix's record is a search's one
-prefix level search from scratch.
+The children of every prefix that pass the minor filters (_candidates),
+at every depth and in both stages, pass one child filter
+(_Generator._survivors): the bound of a value-only search where the
+children hold n-1 rows, then the canonicality test
+(canonical.canonical_children), one vectorized verdict that reads the
+prefix's tie record for every candidate next row; only the children whose
+image ties with a prefix row continue the prefix's level search.  Tie
+records travel down the descent: a prefix carries its parent's record, and
+its own is derived from it (_Generator._ties, by canonical.extend_ties)
+only when some child is left to test.  The empty prefix's record is a
+search's one prefix level search from scratch.
 
 A finished matrix is accepted only if it equals its own canonical form,
 so every class is emitted exactly once, as its representative, with no
@@ -29,7 +32,8 @@ structural order, which makes the output stream sorted by flattening and
 bit-identical across thread budgets and checkpoint splits.
 
 The last two rows of each prefix of n-2 rows are finished in one batch
-(_Generator._accept_batch), by expanding det(prefix; y; x) along y's row:
+(_Generator._accept_batch), which gets only the children the filter kept,
+by expanding det(prefix; y; x) along y's row:
 det = y . z(x), with z(x) the cofactors of that row, minors of the prefix
 and x alone.  z is linear in x, and its kernel is the span of the prefix,
 so many candidate last rows share one z.  By Jacobi's complementary-minor
@@ -45,20 +49,20 @@ are summed over the groups it hits: determinant +-1 and the bits it needs.
 Inverse column n-2 is tested once per group.  Only the completions in
 groups that pass it are expanded, and they get the rest of the inverse.
 Every product and every expansion is cut into chunks of at most _CELLS
-cells.  A work unit that already holds n-1 rows (n <= 3) is the one child
-of its prefix.  Every product sums integers far below 2^53 (see _space), so
-float64 arithmetic is exact, and numpy's float64 products run in BLAS,
-which its int64 products do not.
+cells.  A work unit that already holds n-1 rows (n <= 3) is finished as
+the one kept child of its prefix.  Every product sums integers far below
+2^53 (see _space), so float64 arithmetic is exact, and numpy's float64
+products run in BLAS, which its int64 products do not.
 
 A prefix carries its minor ladder: ladder[i] holds the i-column minors of
 its first i rows, one per column subset in itertools.combinations order.
 Every minor, determinant and cofactor the engine computes is a generalized
 Laplace expansion of a stacked block, and every expansion's terms and signs
 come from one table, _laplace.  A stored work unit keeps its rows, the
-space indices of its first and last rows and its parent's tie record; its
-ladder is rebuilt when the unit is searched (_ladder), and its record is
-derived there.  A unit of n-1 rows (n <= 3) has only leaves below it, so it
-carries no record: None.
+space indices of its first and last rows and its parent's tie record
+(None only for the empty prefix, n = 1's one unit); its ladder is rebuilt
+when the unit is searched (_ladder), and its record is derived there when
+it has children to test.
 
 A search with no beta cap is value-only (the largest inverse entry).  It
 tests canonicality on prefixes only: duplicates cannot change a maximum, so
@@ -69,13 +73,12 @@ the end.  Value-only searches also branch and bound, below prefixes of n-2
 rows only.  There every inverse entry of a completion is linear in the last
 row x once the next row is fixed, so its largest magnitude over the box
 [-alpha, alpha]^n is alpha times the 1-norm of its coefficients
-(_beta_reach, from the prefix forms built once).  One filter
-(_Generator._survivors) keeps the children of such a prefix: it drops every
-child strictly below the running best, which starts at the search's floor
-(_SearchParams.floor), and tests canonicality on the children left only.
-Both tests are per child against the best at the start, so their order
-changes no survivor, and ties survive, so the answer and its witness do not
-change.
+(_beta_reach, from the prefix forms built once, which the batch reuses).
+The child filter drops every child strictly below the running best, which
+starts at the search's floor (_SearchParams.floor), and tests canonicality
+on the children left only.  Both tests are per child against the best at
+the start, so their order changes no survivor, and ties survive, so the
+answer and its witness do not change.
 
 The structural order of candidate rows is the zero-first order of
 canonical.entry_key, at the width the entry bound alpha needs; see the
@@ -86,7 +89,7 @@ Stage 1 descends to the accepted prefixes of min(2, n-1) rows, which are
 the work units; stage 2 finishes the descent below each unit.  The first
 row is chosen by the same filters as every later row, so at n = 1 the
 empty prefix is the one work unit.  At n = 2 and 3 a unit holds n-1 rows,
-and stage 1 keeps it by the final-depth filter, so a value-only search
+and stage 1 keeps it by the same child filter, so a value-only search
 never stores a unit whose bound is below the floor.
 """
 
@@ -726,29 +729,33 @@ class _Generator:
             return prefix_ties(rows, self.n, self.big)
         return extend_ties(parent, rows[-1])
 
-    def _survivors(self, rows, ladder, zmap, ys, grown, parent):
-        """Which children rows + [y] of a prefix of n-2 rows the search keeps,
-        y a row of `ys` with (n-1)-column minors `grown`; `ladder` is the
-        prefix's minor ladder, `zmap` its _zmap, and _ties derives its tie
-        record from `parent`.
+    def _survivors(self, rows, ladder, cand, grown, parent):
+        """The one child filter: which children rows + [y] of a prefix the
+        search keeps, y a row of `cand` with minors `grown`; `ladder` is the
+        prefix's minor ladder and `parent` its parent's tie record.
 
-        Here alone a value-only search bounds its children: _beta_reach, from
-        the prefix's bilinear forms built here, drops every child strictly
-        below the running best.  Canonicality is tested on the children left
-        only.  Both are per-child tests against the best at the start, so
-        their order changes no survivor.  Returns (keep, reach, forms): the
-        kept children's bounds and the forms, both None in an enumeration.
-        The children hold n-1 rows, so their own children are leaves, which
-        _record tests alone: no tie record leaves here.
+        First, where the children hold n-1 rows, a value-only search bounds
+        them: _beta_reach, from the prefix's forms built here, drops every
+        child strictly below the running best.  Then, only if some child is
+        left, the prefix's tie record is derived (_ties) and canonicality is
+        tested on the children left (canonical_children).  Both are per-child
+        tests against the best at the start, so their order changes no
+        survivor.
+
+        Returns (keep, ties, bound): `ties` is the prefix's record, None when
+        no child is left, and `bound` is None unless the bound ran, and then
+        (reach, zmap, forms): the kept children's bounds and the prefix's
+        _zmap and _pair_forms, which _accept_batch reuses.
         """
-        if self.p.beta_cap is not None:
-            return canonical_children(self._ties(rows, parent), ys), None, None
-        forms = _pair_forms(self.n, rows, ladder).T
-        reach = _beta_reach(self.p.alpha, zmap, forms, ys, grown)
-        keep = reach >= self.best_beta
+        n, keep, ties, reach = self.n, np.ones(len(cand), dtype=bool), None, None
+        if len(rows) + 2 == n and self.p.beta_cap is None:
+            zmap, forms = _zmap(n, ladder), _pair_forms(n, rows, ladder).T
+            reach = _beta_reach(self.p.alpha, zmap, forms, cand, grown)
+            keep = reach >= self.best_beta
         if keep.any():
-            keep[keep] = canonical_children(self._ties(rows, parent), ys[keep])
-        return keep, reach[keep], forms
+            ties = self._ties(rows, parent)
+            keep[keep] = canonical_children(ties, cand[keep])
+        return keep, ties, None if reach is None else (reach[keep], zmap, forms)
 
     def _rows(self, idx) -> np.ndarray:
         """Rows idx of the space, as integers."""
@@ -928,44 +935,37 @@ class _Generator:
             pos = np.arange(end[a] - length[a], end[b - 1]) + shift[hit]
             yield child[hit], xs[pos], dets[hit], mid[hit]
 
-    def _accept_batch(self, rows, ladder, idx, grown, base_mask, parent):
-        """Finish the search below the children of one prefix.
+    def _accept_batch(self, rows, ladder, idx, grown, base_mask, bound=None):
+        """Finish the search below the kept children of one prefix.
 
-        `rows` holds n-2 rows with minor ladder `ladder`, and _ties derives
-        its tie record from `parent`; child c is row idx[c] of the space,
-        with (n-1)-column minors grown[c].  _survivors keeps the children
-        first: the bound of a value-only search, then canonicality.  A work
-        unit that already holds n-1 rows (n <= 3) is the one child of its
-        prefix, which stage 1 has kept the same way: `rows` is the unit and
-        idx holds its last row (0 for n = 1).
+        `rows` holds n-2 rows with minor ladder `ladder` (none for n = 1);
+        child c is row idx[c] of the space, with (n-1)-column minors
+        grown[c], and _survivors has kept it.  `bound` is the filter's
+        (reach, zmap, forms) when it bounded the children, else None.  A work
+        unit of n-1 rows (n <= 3) is the one kept child of its prefix.
 
         zmap (_zmap) maps x to z(x), inverse column n-2 times det, keyed at
         the columns `pick`, and _pair_forms gives the bilinear columns
-        0..n-3 (n = 1 has no row n-2: z(x) = x, det = 1 . x).  The forms
-        are built once, by the bound or else for the first completion that
-        passes column n-2.  A child the bound kept is checked again against
-        the running best when its nodes are spent.
+        0..n-3 (n = 1 has no row n-2: z(x) = x, det = 1 . x).  Each is built
+        at most once: by the bound, or else here, the forms for the first
+        completion that passes column n-2.  A child the bound kept is
+        checked again against the running best when its nodes are spent.
 
         Nodes are spent child by child in search order.  Inverse column n-1
         is grown[c] up to order and sign, which _candidates has tested;
         _completions tests column n-2, and the bilinear columns are
         assembled for its survivors only.  The determinants are +-1, so
         every test and every stored beta reads inverse magnitudes.  Each
-        child's kept completions take one _record call, under rows + [y],
-        or under the unit itself when it holds n-1 rows.
+        child's kept completions take one _record call, under rows + [y].
         """
-        n, reach, forms = self.n, None, None
+        n = self.n
         if n > 1:
-            ys, zmap = self._rows(idx), _zmap(n, ladder)
-            if len(rows) + 2 == n:  # else stage 1 kept this unit of n-1 rows
-                keep, reach, forms = self._survivors(rows, ladder, zmap, ys, grown, parent)
-                if not keep.any():
-                    return
-                idx, ys, grown = idx[keep], ys[keep], grown[keep]
+            ys = self._rows(idx)
+            reach, zmap, forms = bound or (None, _zmap(n, ladder), None)
             pick = _key_columns(n, int(np.flatnonzero(ladder[n - 2])[0]))
         else:
             ys = zmap = np.ones((1, 1), dtype=np.int64)
-            pick, forms = (0, 0), np.zeros((0, 1), dtype=np.int64)
+            pick, reach, forms = (0, 0), None, np.zeros((0, 1), dtype=np.int64)
         last = np.abs(grown).max(axis=1)  # inverse column n-1
         for c0, nodes, pieces in self._completions(rows, zmap, pick, idx, ys, base_mask):
             kept = []
@@ -994,7 +994,7 @@ class _Generator:
                     self._spend(int(nodes[k - c0]))
                     a, b = bounds[k - c0], bounds[k - c0 + 1]
                     if b > a:
-                        head = rows if len(rows) == n - 1 else rows + [tuple(ys[k].tolist())]
+                        head = rows + [tuple(ys[k].tolist())] if n > 1 else rows
                         self._record(head, xs[a:b], dets[a:b], betas[a:b])
 
     def _record(self, rows, xs: np.ndarray, dets, betas: np.ndarray):
@@ -1059,36 +1059,36 @@ class _Generator:
         `first` and `last` index the first and last rows of `rows` in the
         space (None and 0 for the empty prefix), and `base_mask` is
         _base_mask(first).  `parent` is the tie record of rows' parent (None
-        for the empty prefix, and for a prefix of n-1 rows, whose children
-        are leaves): the record of `rows` is derived from it (_ties) only
-        when its children are tested.  A prefix of `stop_depth` rows goes
-        to `sink` as (rows, first, last, parent) instead of being searched.
+        for the empty prefix).  A prefix of `stop_depth` rows goes to `sink`
+        as (rows, first, last, parent) instead of being searched.
+
+        Every prefix's children pass the one child filter, _survivors, which
+        derives the prefix's record from `parent` for its children.  The
+        children of a prefix of n-2 rows are finished in one batch
+        (_accept_batch) in stage 2; in stage 1 (n <= 3) they are the units.
+        A unit of n-1 rows is finished as the one kept child of its prefix.
         """
         if len(rows) == stop_depth:
             sink((rows, first, last, parent))
             return
         n = self.n
-        if len(rows) + 1 == n:  # a unit of n-1 rows is the one child of its prefix
+        if len(rows) + 1 == n:  # a unit of n-1 rows: the one kept child of its prefix
             only = np.array([last])
-            self._accept_batch(rows, ladder, only, ladder[-1][None], base_mask, parent)
+            self._accept_batch(rows[:-1], ladder[:-1], only, ladder[-1][None], base_mask)
             return
         idx, grown = self._candidates(rows, ladder[-1], base_mask, last)
         if not len(idx):
             return
+        cand = self._rows(idx)
+        keep, ties, bound = self._survivors(rows, ladder, cand, grown, parent)
         if len(rows) + 2 == n < stop_depth:  # stage 2 finishes both last rows at once
             self._spend(len(idx))
-            self._accept_batch(rows, ladder, idx, grown, base_mask, parent)
+            if keep.any():
+                self._accept_batch(rows, ladder, idx[keep], grown[keep], base_mask, bound)
             return
-        cand = self._rows(idx)
-        if len(rows) + 2 == n:  # stage 1 keeps units of n-1 rows (n <= 3) the same way
-            ok = self._survivors(rows, ladder, _zmap(n, ladder), cand, grown, parent)[0]
-            ties = None  # their children are leaves: no record
-        else:
-            ties = self._ties(rows, parent)
-            ok = canonical_children(ties, cand)
         for pos, row in enumerate(cand.tolist()):
             self._spend()
-            if not ok[pos]:
+            if not keep[pos]:
                 continue
             i, row = int(idx[pos]), tuple(row)
             if not rows:  # row i becomes the first row

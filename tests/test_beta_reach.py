@@ -6,9 +6,10 @@ The oracle shares nothing with the engine's minor tables or inverse
 assembly: minors and adjugates come from numpy determinants of submatrices,
 and each child's best completion is confirmed with matrix.adjugate_inverse.
 
-The bound has one place: the filter that keeps the final-depth children of
-a prefix (_Generator._survivors) applies it, from the forms of the prefix
-that it builds once, before the canonicality test.  Counting wrappers check
+The bound has one place: the one child filter (_Generator._survivors)
+applies it to the children of every prefix of n-2 rows, from the forms of
+the prefix that it builds once, before the canonicality test, and the
+final-depth batch gets only the children it keeps.  Counting wrappers check
 that.
 """
 
@@ -19,11 +20,13 @@ import numpy as np
 import pytest
 
 from zerofree import engine
+from zerofree.canonical import minimize_rows
 from zerofree.engine import (
     ClassQuery,
     _beta_reach,
     _cofactor_matrix,
     _pair_forms,
+    _zmap,
     enumerate_classes,
     max_beta_search,
 )
@@ -112,11 +115,19 @@ def test_bound_covers_the_whole_n3_space(mode):
 
 
 def _count_calls(monkeypatch):
-    """Count the calls of the final-depth batch, of the filter that keeps
-    its children, of its completions and of the two builders of the
-    prefix's forms.  A call is also counted under the wrapped call it runs
-    in (`"_pair_forms in _survivors"`), and "expanding" counts the
-    _completions calls that yield a completion passing inverse column n-2."""
+    """Count the calls of the child filter, of the tie records it derives,
+    of the final-depth batch and its completions, and of the builders of
+    the prefix's forms.  A call is also counted under the wrapped call it
+    runs in (`"_pair_forms in _survivors"`).  For the filter calls on
+    prefixes of n-2 rows, "last prefixes" counts them, "bounded" those
+    that ran the bound, "kept prefixes" those with some child left and
+    "kept children" those children.  "expanding" counts the _completions
+    calls that yield a completion passing inverse column n-2.
+
+    Every batch is checked as it starts: its rows are a prefix of n-2 rows,
+    and every child it gets is canonical and, in a value-only search, has a
+    bound, recomputed here, that reaches the running best: a batch runs
+    right after its filter, or is a unit that starts at the floor."""
     calls = collections.Counter()
     running = []
 
@@ -133,11 +144,39 @@ def _count_calls(monkeypatch):
 
         return wrapper
 
-    for name in ("_pair_forms", "_beta_reach", "canonical_children"):
+    survivors, accept = engine._Generator._survivors, engine._Generator._accept_batch
+
+    def filtered(self, rows, ladder, cand, grown, parent):
+        keep, ties, bound = survivors(self, rows, ladder, cand, grown, parent)
+        if len(rows) + 2 == self.n:
+            calls["last prefixes"] += 1
+            calls["bounded"] += bound is not None
+            calls["kept prefixes"] += bool(keep.any())
+            calls["kept children"] += int(keep.sum())
+        return keep, ties, bound
+
+    def checked(self, rows, ladder, idx, grown, base_mask, bound=None):
+        n = self.n
+        assert len(rows) == max(n - 2, 0) and len(idx)
+        if n > 1:
+            ys = self._rows(idx)
+            for y in ys.tolist():
+                assert minimize_rows(rows + [tuple(y)], n, True) is not None
+            if self.p.beta_cap is None:
+                forms = _pair_forms(n, rows, ladder).T
+                reach = _beta_reach(self.p.alpha, _zmap(n, ladder), forms, ys, grown)
+                assert (reach >= self.best_beta).all()
+                assert bound is None or np.array_equal(bound[0], reach)
+        return accept(self, rows, ladder, idx, grown, base_mask, bound)
+
+    for name in ("_zmap", "_pair_forms", "_beta_reach", "canonical_children"):
         monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
-    for name in ("_accept_batch", "_survivors"):
-        method = counting(name, getattr(engine._Generator, name))
-        monkeypatch.setattr(engine._Generator, name, method)
+    for name, method in (
+        ("_survivors", filtered),
+        ("_accept_batch", checked),
+        ("_ties", engine._Generator._ties),
+    ):
+        monkeypatch.setattr(engine._Generator, name, counting(name, method))
     completions = engine._Generator._completions
 
     def flagged(pieces, seen):
@@ -157,41 +196,62 @@ def _count_calls(monkeypatch):
     return calls
 
 
+def _assert_one_child_filter(calls, n):
+    """The filter alone derives tie records and tests canonicality, a
+    record only for a prefix with some child left, and every batch it
+    keeps is finished once: below each prefix of n-2 rows with a child
+    left at n = 4, as each unit, one kept child, at n = 3, and as the
+    empty prefix's one unit per search at n = 1."""
+    assert calls["_ties"] == calls["_ties in _survivors"] == calls["canonical_children"]
+    assert calls["canonical_children"] == calls["canonical_children in _survivors"]
+    assert calls["_completions"] == calls["_accept_batch"] > 0
+    assert (calls["_survivors"] > 0) == (n > 1)
+    if n == 4:
+        assert calls["_accept_batch"] == calls["kept prefixes"] < calls["last prefixes"]
+    if n == 3:
+        assert calls["_accept_batch"] == calls["kept children"]
+
+
 @pytest.mark.parametrize(
     "n, alpha, mode", [(1, 1, "unrestricted"), (3, 2, "unrestricted"), (4, 2, "unrestricted")]
 )
 def test_the_final_depth_batch_alone_bounds_from_forms_built_once(monkeypatch, n, alpha, mode):
-    # the final-depth filter, _survivors, is the bound's one home: one bound
-    # and one set of bilinear forms per call, none elsewhere.  At n = 4 every
-    # final-depth batch filters its children; at n <= 3 stage 1 filters the
-    # units of n-1 rows, and a unit's batch builds its forms only when it
-    # expands a completion.  n = 1 has no child to filter.  Some batches
-    # lose every child to the filter and never reach _completions.
+    # the child filter is the bound's one home: one bound and one build of
+    # each form per prefix of n-2 rows.  A batch the filter bounded reuses
+    # the forms; a unit of n-1 rows (n = 3) builds zmap, and its bilinear
+    # forms only when it expands a completion.  n = 1 has no child to filter.
     calls = _count_calls(monkeypatch)
     max_beta_search(n, alpha, mode, thread_budget=1)
-    assert calls["_accept_batch"] > 0
-    assert calls["_beta_reach"] == calls["_beta_reach in _survivors"] == calls["_survivors"]
-    assert calls["_pair_forms in _survivors"] == calls["_survivors"]
-    assert calls["_pair_forms in _accept_batch"] == (calls["expanding"] if n == 3 else 0)
+    _assert_one_child_filter(calls, n)
+    assert calls["_beta_reach"] == calls["_beta_reach in _survivors"] == calls["bounded"]
+    assert calls["_pair_forms in _survivors"] == calls["_zmap in _survivors"] == calls["bounded"]
+    assert calls["bounded"] == calls["last prefixes"]
     if n == 4:
-        assert calls["_survivors"] == calls["_survivors in _accept_batch"] == calls["_accept_batch"]
-        assert calls["_completions"] < calls["_accept_batch"]
-        # a batch with no child left skips the canonicality test
-        assert calls["canonical_children in _survivors"] < calls["_survivors"]
-    else:
-        assert calls["_survivors in _accept_batch"] == 0
-    assert (calls["_survivors"] > 0) == (n > 1)
+        # some batch loses every child to the bound: no record, no test
+        assert calls["_ties"] < calls["_survivors"]
+        assert calls["_pair_forms in _accept_batch"] == calls["_zmap in _accept_batch"] == 0
+    if n == 3:
+        assert calls["_pair_forms in _accept_batch"] == calls["expanding"] > 0
+        assert calls["_zmap in _accept_batch"] == calls["_accept_batch"]
 
 
 def test_an_enumeration_is_not_bounded(monkeypatch):
-    # every batch filters its children, by canonicality alone, and builds
-    # its bilinear forms only when some completion passes column n-2
-    calls = _count_calls(monkeypatch)
-    enumerate_classes(ClassQuery(4, 3, 3, thread_budget=1))
-    assert calls["_accept_batch"] == calls["_survivors in _accept_batch"]
-    assert calls["_pair_forms"] == calls["_pair_forms in _accept_batch"] == calls["expanding"] > 0
-    assert calls["expanding"] < calls["_completions"] < calls["_accept_batch"]
-    assert calls["_beta_reach"] == 0
+    # every filter call tests canonicality alone, and every batch builds
+    # zmap, and its bilinear forms only when some completion passes column
+    # n-2 (n = 1 takes stand-ins for both)
+    for n, alpha, beta in [(1, 1, 1), (3, 3, 5), (4, 3, 3)]:
+        with monkeypatch.context() as patch:
+            calls = _count_calls(patch)
+            enumerate_classes(ClassQuery(n, alpha, beta, thread_budget=1))
+        _assert_one_child_filter(calls, n)
+        assert calls["_beta_reach"] == calls["bounded"] == 0
+        assert calls["_ties"] == calls["_survivors"]
+        if n > 1:
+            assert calls["_pair_forms"] == calls["_pair_forms in _accept_batch"]
+            assert calls["_pair_forms"] == calls["expanding"] > 0
+            assert calls["_zmap"] == calls["_zmap in _accept_batch"] == calls["_accept_batch"]
+        else:
+            assert calls["_pair_forms"] == calls["_zmap"] == 0
 
 
 @pytest.mark.parametrize("mode", ["zerofree", "unrestricted"])

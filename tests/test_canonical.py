@@ -417,8 +417,8 @@ def _assert_derived_records(ties, n, rng, zeros, count, depth, met):
     rows = list(ties.rows)
     cand = _children(rows, n, rng, zeros, count)
     block = np.array(cand, dtype=np.int64).reshape(-1, n)
-    beaten, open_ = children_verdicts(ties, block, ties.big)
-    searched = children_verdicts(prefix_ties(rows, n, ties.big), block, ties.big)
+    beaten, open_ = children_verdicts(ties, block)
+    searched = children_verdicts(prefix_ties(rows, n, ties.big), block)
     assert (beaten == searched[0]).all() and (open_ == searched[1]).all()
     truth = [minimize_rows(rows + [r], n, True) is not None for r in cand]
     assert canonical_children(ties, block).tolist() == truth
@@ -552,3 +552,37 @@ def test_canonical_class_requires_zerofree_unimodular():
 def test_canonical_class_positivity():
     c = CanonicalClass.from_matrix(IntMatrix.from_rows([[-1, -1], [-1, -2]]))
     assert c.stats.positive  # the representative is positive even if the input is not
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(
+            lambda: GroupElement((0, 1), (1,), (0, 1), (1, 1)), "lengths disagree", id="lengths"
+        ),
+        pytest.param(
+            lambda: GroupElement((0, 0), (1, 1), (0, 1), (1, 1)), "permutations", id="perm"
+        ),
+        pytest.param(lambda: GroupElement((0, 1), (1, 2), (0, 1), (1, 1)), "signs", id="signs"),
+        pytest.param(
+            lambda: GroupElement.identity(2).compose(GroupElement.identity(3)),
+            "dimension mismatch",
+            id="compose",
+        ),
+        pytest.param(
+            lambda: apply(GroupElement.identity(2), IntMatrix.identity(3)), "applied", id="apply"
+        ),
+        pytest.param(
+            lambda: orbit_equivalent(IntMatrix(1, (1,)), IntMatrix(2, (1, 1, 1, 2))),
+            "different dimension",
+            id="orbit_equivalent",
+        ),
+        pytest.param(
+            lambda: canonical_form_oracle(IntMatrix(2, (0, 1, 1, 1))), "zero", id="oracle_zero"
+        ),
+        pytest.param(lambda: prefix_ties([(2, 1)], 2, key_big(2)), "not canonical", id="ties"),
+    ],
+)
+def test_malformed_input_raises_value_error(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -265,6 +265,12 @@ def test_verify_suite_with_nothing_to_check_is_a_usage_error(capsys, argv):
     assert err.startswith("error: --")
 
 
+@pytest.mark.parametrize("kmax", ["1", "-3"])
+def test_n2_with_nothing_to_check_is_a_usage_error(capsys, kmax):
+    code, out, err = run(capsys, "n2", "--kmax", kmax)
+    assert (code, out, err) == (2, "", "error: --kmax must be at least 2\n")
+
+
 @pytest.mark.parametrize("value", ["0", "-3", "two", "1.5"])
 def test_invalid_thread_variable_is_a_usage_error(capsys, monkeypatch, value):
     monkeypatch.setenv("ZEROFREE_THREADS", value)

@@ -40,6 +40,12 @@ def test_count_formula():
         prop5_count(1)
 
 
+@pytest.mark.parametrize("k", [1, 0, -3])
+def test_enumeration_rejects_k_below_2(k):
+    with pytest.raises(ValueError, match="k >= 2"):
+        prop5_enumerate(k)
+
+
 def test_count_is_odd():
     for k in range(2, 60):
         assert prop5_count(k) % 2 == 1

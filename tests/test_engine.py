@@ -624,7 +624,7 @@ def _final_depth_engine(p: _SearchParams, prefix):
         for c0, nodes, pieces in completions(rows, zmap, pick, idx, ys, base_mask):
             pieces = list(pieces)
             for k, count in enumerate(nodes.tolist(), c0):
-                head = rows if len(rows) + 1 == p.n else rows + [tuple(ys[k].tolist())]
+                head = rows + [tuple(ys[k].tolist())]
                 survivors = sorted(
                     (x, d, mid)
                     for piece in pieces

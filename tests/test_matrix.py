@@ -250,3 +250,9 @@ def test_prop0_rejects_n1():
 def test_prop0_rejects_large_n():
     with pytest.raises(ValueError):
         verify_prop0(5)
+
+
+@pytest.mark.parametrize("a, b", [(1, 2), (3, 2)])
+def test_product_of_different_dimensions_is_rejected(a, b):
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        IntMatrix.identity(a) @ IntMatrix.identity(b)

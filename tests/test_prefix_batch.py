@@ -39,7 +39,7 @@ def _check(n, alpha, zeros, rows, cand):
     canonical."""
     assert minimize_rows(rows, n, True) == rows
     ties = prefix_ties(rows, n, key_big(alpha))
-    beaten, open_ = children_verdicts(ties, cand, ties.big)
+    beaten, open_ = children_verdicts(ties, cand)
     truth = np.array([minimize_rows(rows + [tuple(r)], n, True) is not None for r in cand.tolist()])
     assert not (beaten & open_).any()
     assert not truth[beaten].any()
