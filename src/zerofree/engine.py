@@ -255,15 +255,18 @@ class SearchCheckpoint:
 
     The text form is an append-only JSON-lines journal.  The first line is
     a header with format_version, query and total_units; each further line
-    records one finished unit: its index, its payload and a sha256 digest of
-    both.  A search writes the header, then keeps the journal open and
-    appends and flushes one line per finished unit.  A torn write leaves
+    records one finished unit as an object of exactly three keys: its
+    index, its payload and a sha256 digest of both.  A search writes the
+    header, then keeps the journal open and appends and flushes one line
+    per finished unit, in unit order, so a journal is a prefix of the unit
+    order: record k must be unit k, below total_units, and `completed`
+    maps units 0..k-1 to their payloads in that order.  A torn write leaves
     one torn last line: text after the last newline, or else a last line
     that is not JSON.  from_json drops it and counts its characters in
-    `torn_tail`.  Any other malformed line, a digest mismatch, a repeated
-    unit or a unit index out of range is an error, and so is a leaf that
-    cannot be a leaf of the header's query, its recorded determinant
-    included; a resume then requires that query to be its own.
+    `torn_tail`.  Any other malformed line, a digest mismatch or a unit out
+    of order is an error, and so is a leaf that cannot be a leaf of the
+    header's query, its recorded determinant included; a resume then
+    requires that query to be its own.
     """
 
     format_version: int
@@ -312,21 +315,17 @@ class SearchCheckpoint:
                     cp.torn_tail = len(line) + 1
                     break
                 raise CheckpointError(f"invalid checkpoint line {lineno}: {exc}") from exc
-            try:
-                index, payload = record["index"], record["payload"]
-                intact = record["digest"] == _record_text(index, payload)[0]
-            except (KeyError, TypeError) as exc:
-                raise CheckpointError(f"malformed checkpoint line {lineno}") from exc
-            if not intact:
+            if not isinstance(record, dict) or set(record) != {"digest", "index", "payload"}:
+                raise CheckpointError(f"malformed checkpoint line {lineno}")
+            index, payload = record["index"], record["payload"]
+            if record["digest"] != _record_text(index, payload)[0]:
                 raise CheckpointError(
                     f"checkpoint digest mismatch on line {lineno} (file corrupted?)"
                 )
             if type(index) is not int or not _is_payload(payload):
                 raise CheckpointError(f"malformed work unit on checkpoint line {lineno}")
-            if not 0 <= index < cp.total_units:
-                raise CheckpointError(f"checkpoint unit {index!r} out of range on line {lineno}")
-            if index in cp.completed:
-                raise CheckpointError(f"checkpoint unit {index} repeated on line {lineno}")
+            if index != len(cp.completed) or index >= cp.total_units:
+                raise CheckpointError(f"checkpoint unit {index} out of unit order on line {lineno}")
             if not all(_are_leaves(cp.query, key, hits) for key, hits in payload["found"].items()):
                 raise CheckpointError(
                     f"checkpoint unit {index} on line {lineno} holds a leaf its query cannot have"
@@ -1161,28 +1160,31 @@ def _merge_units(unit_payloads) -> dict[tuple[int, int], list]:
 def _run_search(
     params: _SearchParams,
     *,
-    thread_budget: int = 1,
+    thread_budget: int | None = None,
     node_limit: int | None = None,
     checkpoint_path: str | None = None,
     resume: bool = False,
     stop_after_units: int | None = None,
 ) -> _RawResult:
     """Stage 1 lists the work units; stage 2 reads one ordered stream of
-    (index, payload): the journal's finished units, then the units left, run
-    by `map` or a pool's `map`, which start once the journal is walked.
+    payloads, one per unit in unit order: the journal's, which hold units
+    0..k-1, then those of units k on, run by `map` or a pool's `map`, which
+    start once the journal is walked.
 
     Every payload takes the one fit check, so a truncated search keeps the
     longest prefix of units, in unit order, whose nodes fit `node_limit`,
     the same fresh or resumed and for every worker count.  `map` reads a
     unit's budget when the loop asks for it; Executor.map reads every budget
     at submission.  A pool starts for two units or more, with at most one
-    worker per CPU the process may run on.  Kept units are merged in unit
-    order into (alpha, beta) buckets.  With `checkpoint_path`, one append
-    handle on the journal serves the search, and each kept unit's record is
-    written and flushed as it is kept.  A value-only search's running best starts
-    at params.floor, which the journal's query leaves out: only
-    enumerations pass a checkpoint.
+    worker per CPU the process may run on; `thread_budget` None reads
+    ZEROFREE_THREADS (default_thread_budget) before anything runs.  Kept
+    units are merged in stream order into (alpha, beta) buckets.  With
+    `checkpoint_path`, one append handle on the journal serves the search,
+    and each kept unit from position k on is written and flushed as it is
+    kept.  A value-only search's running best starts at params.floor, which
+    the journal's query leaves out: only enumerations pass a checkpoint.
     """
+    thread_budget = thread_budget or default_thread_budget()
     if resume:
         # before stage 1, which may stop on the node limit first
         if checkpoint_path is None:
@@ -1206,11 +1208,11 @@ def _run_search(
         cp = SearchCheckpoint(CHECKPOINT_VERSION, params.query(), len(prefixes), {})
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, cp)
-    journal = cp.completed
+    journaled = len(cp.completed)
 
-    todo = [i for i in range(len(prefixes)) if i not in journal][:stop_after_units]
+    todo = range(journaled, len(prefixes))[:stop_after_units]
     nodes = gen.nodes
-    kept: dict[int, dict] = {}
+    kept: list[dict] = []
 
     def budget_left() -> int | None:
         return None if node_limit is None else node_limit - nodes
@@ -1230,29 +1232,26 @@ def _run_search(
         try:
             units, budgets = (prefixes[i] for i in todo), (budget_left() for _ in todo)
             args = itertools.repeat(params), units, budgets
-            yield from zip(todo, (pool.map if pool else map)(_run_unit, *args))
+            yield from (pool.map if pool else map)(_run_unit, *args)
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
 
-    # one append handle for the search: each finished unit's record is
+    # one append handle for the search: each computed unit's record is
     # written and flushed as soon as it is kept
     appending = open(checkpoint_path, "a") if checkpoint_path is not None else nullcontext()
     with closing(computed()) as rest, appending as out:
-        for index, payload in itertools.chain(sorted(journal.items()), rest):
+        for index, payload in enumerate(itertools.chain(cp.completed.values(), rest)):
             left = budget_left()
             if payload is None or (left is not None and payload["nodes"] > left):
                 break
-            kept[index] = payload
+            kept.append(payload)
             nodes += payload["nodes"]
-            if index not in journal:
-                journal[index] = payload
-                if out is not None:
-                    out.write(_unit_line(index, payload))
-                    out.flush()
+            if out is not None and index >= journaled:
+                out.write(_unit_line(index, payload))
+                out.flush()
 
-    merged = _merge_units(kept[i] for i in sorted(kept))
-    return _RawResult(merged, nodes, len(kept) == len(prefixes))
+    return _RawResult(_merge_units(kept), nodes, len(kept) == len(prefixes))
 
 
 # --------------------------------------------------------------------------
@@ -1295,12 +1294,7 @@ def _search_classes(q: ClassQuery, **run):
     _gate(q)
     lo, hi = q.beta_range
     params = _SearchParams(q.n, q.alpha, hi, zerofree=True, positive_only=q.positive_only)
-    raw = _run_search(
-        params,
-        thread_budget=q.thread_budget or default_thread_budget(),
-        node_limit=q.node_limit,
-        **run,
-    )
+    raw = _run_search(params, thread_budget=q.thread_budget, node_limit=q.node_limit, **run)
     return _classes(q.n, raw.buckets, q.alpha, lo, hi), raw
 
 
@@ -1431,7 +1425,6 @@ def max_beta_search(
         if node_limit is None:
             raise TierGateError("best-effort search requires a node_limit")
     params = _SearchParams(n, alpha, None, zerofree=(mode == "zerofree"))
-    thread_budget = thread_budget or default_thread_budget()
     floor_nodes = 0
     if mode == "unrestricted" and node_limit is None:
         floor_run = _run_search(replace(params, zerofree=True), thread_budget=thread_budget)

@@ -105,11 +105,18 @@ def parse_matrix_line(
 ) -> IntMatrix:
     """Parse one row-major vector into a square matrix.
 
-    The dimension is inferred as the integer square root of the token count
-    unless expect_n pins it.  Distinct diagnostics cover malformed tokens,
-    non-square counts, and zero entries in zerofree contexts.
+    Every token is an optional sign and ASCII digits.  The dimension is
+    inferred as the integer square root of the token count unless expect_n
+    pins it.  Distinct diagnostics cover malformed tokens, non-square
+    counts, and zero entries in zerofree contexts.
     """
     tokens = text.replace(",", " ").split()
+    if not text.isascii() or "_" in text:
+        # int() also reads digit-group underscores and non-ASCII digits,
+        # which the writer never writes
+        for tok in tokens:
+            if not tok.isascii() or "_" in tok:
+                raise MatrixParseError(f"not an integer: {tok!r}", line_no)
     values = []
     for tok in tokens:
         try:

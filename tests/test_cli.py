@@ -280,6 +280,25 @@ def test_invalid_thread_variable_is_a_usage_error(capsys, monkeypatch, value):
     assert "ZEROFREE_THREADS" in err and repr(value) in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--n", "3", "--alpha", "3", "--beta", "5", "--node-limit", "1"],
+        ["scan", "--n", "3", "--alpha", "3", "--beta-min", "2", "--beta-max", "5"],
+        ["maxbeta", "--n", "3", "--alpha", "2"],
+        ["maxbeta", "--n", "3", "--alpha", "2", "--unrestricted"],
+    ],
+    ids=["enumerate-stopped-in-stage-1", "scan", "maxbeta", "maxbeta-unrestricted"],
+)
+def test_every_search_rejects_an_invalid_thread_variable(capsys, monkeypatch, argv):
+    # read before the search runs, so a node limit that stops stage 1 first
+    # does not skip it
+    monkeypatch.setenv("ZEROFREE_THREADS", "0")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "ZEROFREE_THREADS" in err
+
+
 def test_empty_thread_variable_counts_as_unset(capsys, monkeypatch):
     monkeypatch.setenv("ZEROFREE_THREADS", "")
     code, out, _ = run(capsys, "enumerate", "--n", "2", "--alpha", "2", "--beta", "2")

@@ -953,6 +953,21 @@ def _index_out_of_range(lines):
     lines.append(_unit_record(4, {"found": {}, "nodes": 0}))
 
 
+def _unit_missing(lines):
+    del lines[2]
+
+
+def _units_swapped(lines):
+    lines[2], lines[3] = lines[3], lines[2]
+
+
+def _record_extra_key(lines):
+    # the digest covers only the index and the payload, so it still matches
+    record = json.loads(lines[1])
+    record["extra"] = [1, 2, 3]
+    lines[1] = json.dumps(record, sort_keys=True) + "\n"
+
+
 def _bad_line_before_the_last(lines):
     lines.insert(2, "not json\n")
 
@@ -1036,6 +1051,9 @@ def _header_query_without_n(lines):
         _replace_last_nodes,
         _duplicate_last,
         _index_out_of_range,
+        _unit_missing,
+        _units_swapped,
+        _record_extra_key,
         _bad_line_before_the_last,
         _bad_line_before_a_cut_one,
         _drop_header,

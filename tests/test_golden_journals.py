@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from zerofree.engine import ClassQuery, enumerate_classes, load_checkpoint
+from zerofree.cli import main
+from zerofree.engine import CheckpointError, ClassQuery, enumerate_classes, load_checkpoint
 
 DATA = Path(__file__).parent / "data"
 
@@ -41,6 +42,22 @@ def test_a_cut_n3_journal_resumes_to_its_golden_file(tmp_path, threads):
     assert resumed.complete
     assert (resumed.total_count, resumed.nodes_explored) == (6, 419)
     assert path.read_bytes() == golden
+
+
+def test_a_journal_with_a_gap_is_rejected(tmp_path, capsys):
+    # units 0, 1 and 8 of (3,3,5): a journal holds units 0..k-1, so unit 8
+    # cannot follow unit 1, and a resume under a node limit that would keep
+    # the journal's units out of unit order refuses it
+    golden = (DATA / "journal_3_3_5.jsonl").read_bytes().splitlines(keepends=True)
+    path = tmp_path / "gap.ckpt"
+    path.write_bytes(b"".join(golden[i] for i in (0, 1, 2, 9)))
+    with pytest.raises(CheckpointError, match="unit 8 out of unit order on line 4"):
+        load_checkpoint(str(path))
+    argv = ["--n", "3", "--alpha", "3", "--beta", "5", "--node-limit", "200"]
+    code = main(["enumerate", *argv, "--checkpoint", str(path), "--resume"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "out of unit order" in err
 
 
 @pytest.fixture(scope="module")

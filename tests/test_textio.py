@@ -51,6 +51,15 @@ def test_parse_rejects_bad_token():
         assert exc.line_no == 7
 
 
+@pytest.mark.parametrize("token", ["1_0", "\uff11", "\u0661"])
+def test_parse_rejects_what_int_reads_but_does_not_write(token):
+    # int() reads digit-group underscores and non-ASCII digits, which would
+    # not round-trip: an entry is an optional sign and ASCII digits
+    with pytest.raises(MatrixParseError, match="not an integer"):
+        parse_matrix_line(f"{token} 2 3 4")
+    assert parse_matrix_line("+1 2 3 -4") == IntMatrix.from_rows([[1, 2], [3, -4]])
+
+
 def test_parse_rejects_zero_in_zerofree_context():
     with pytest.raises(MatrixParseError, match="zero"):
         parse_matrix_line("1 0 1 2", require_nonzero=True)
