@@ -37,18 +37,20 @@ they stay independent checks.
 The engine tests the children of one canonical prefix together and carries
 the test's search state from each prefix to its children (canonical
 augmentation, after McKay, "Isomorph-free exhaustive generation", 1998).  A
-prefix's tie record (Ties) holds its test-mode tie states per level,
-unmerged, and a table, built from them, with one row per placement of a new
-row after one of them.  children_verdicts reads the table once for every
-candidate row: a child fails when an image beats its target, and passes
-when none does and no image ties with a prefix row below its own level.  An
-image equal to a prefix row keeps a state that uses the new row, so
-canonical_children decides such a child by extend_ties, which continues the
-level search from the prefix's levels.  The same call derives every
-child's record from its parent's.  prefix_ties searches a record from
-scratch; the engine does so only for the empty prefix.  Records are for
-prefixes, which have many children each: a finished matrix takes
-minimize_rows in test mode instead.
+prefix's tie record (Ties) is its test-mode tie states per level,
+unmerged, with the keys of its rows, and nothing built from them: a
+record is read by one verdict, so a cached table would only ride along.
+children_verdicts builds from the levels one table, with one row per
+placement of a new row after one state (placement_table), and reads it
+once for every candidate row: a child fails when an image beats its
+target, and passes when none does and no image ties with a prefix row
+below its own level.  An image equal to a prefix row keeps a state that
+uses the new row, so canonical_children decides such a child by
+extend_ties, which continues the level search from the prefix's levels.
+The same call derives every child's record from its parent's.
+prefix_ties searches a record from scratch; the engine does so only for
+the empty prefix.  Records are for prefixes, which have many children
+each: a finished matrix takes minimize_rows in test mode instead.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -343,38 +346,28 @@ def pack_keys(keys: np.ndarray, big: int) -> np.ndarray:
     return keys @ (2 * big) ** np.arange(keys.shape[-1] - 1, -1, -1, dtype=np.int64)
 
 
-class Ties:
+class Ties(NamedTuple):
     """The tie record of a canonical block: what children_verdicts reads,
     and what extend_ties carries from the block to a child.
 
     `rows` is the block, `big` the key width, and `kpos`/`kneg` the keys of
     each row and of its negation.  `levels` lists the block's test-mode
-    tie states, unmerged, in force before each level and after the last.
-    The placement table, one row per placement of a new row after a state
-    of some level (_placements), src then lift then level, as one int64
-    array, is built from `levels` on first use: a verdict that only asks
-    whether a child is canonical never builds it.
+    tie states, unmerged, in force before each level and after the last:
+    all that placement_table needs, so the record keeps no table.  A plain
+    tuple of plain Python values, it is cheap to build and pickles as its
+    fields alone, as a process pool sends it with every stage-1 unit.
     """
 
-    __slots__ = ("rows", "big", "kpos", "kneg", "levels", "_table")
-
-    def __init__(self, rows, big, kpos, kneg, levels):
-        self.rows, self.big, self.kpos, self.kneg, self.levels = rows, big, kpos, kneg, levels
-        self._table = None
-
-    @property
-    def table(self) -> np.ndarray:
-        if self._table is None:
-            rows = []
-            for d, states in enumerate(self.levels):
-                rows += _placements(states, d, 2 * self.big)
-            self._table = np.array(rows, dtype=np.int64)
-        return self._table
+    rows: tuple
+    big: int
+    kpos: tuple
+    kneg: tuple
+    levels: list
 
 
-def _placements(states, level, radix) -> list:
-    """The placements of a new row at `level`, after each of `states`, as
-    table rows src + lift + (level,).
+def placement_table(ties: Ties) -> np.ndarray:
+    """One int64 row src + lift + (level,) per placement of a new row at
+    some level of ties.levels, after one of that level's states.
 
     A column's key follows its resolved sign u times the row sign: key(x)
     for +1, key(-x) for -1, |x| for 0.  The columns are ordered by the
@@ -389,16 +382,18 @@ def _placements(states, level, radix) -> list:
     rows pass the gcd test and so are independent, none was found (a
     tier-1 test checks whole searches).
     """
+    radix = 2 * ties.big
     out = []
-    for _, profs, signs in states:
-        ncols = len(profs)
-        order = sorted(range(ncols), key=profs.__getitem__)
-        lift = [0] * ncols
-        for j in range(1, ncols):
-            lift[j] = lift[j - 1] + radix * (profs[order[j]] != profs[order[j - 1]])
-        for s in (1,) if level == 0 else (1, -1):
-            out.append([(signs[c] * s + 1) * ncols + c for c in order] + lift + [level])
-    return out
+    for level, states in enumerate(ties.levels):
+        for _, profs, signs in states:
+            ncols = len(profs)
+            order = sorted(range(ncols), key=profs.__getitem__)
+            lift = [0] * ncols
+            for j in range(1, ncols):
+                lift[j] = lift[j - 1] + radix * (profs[order[j]] != profs[order[j - 1]])
+            for s in (1,) if level == 0 else (1, -1):
+                out.append([(signs[c] * s + 1) * ncols + c for c in order] + lift + [level])
+    return np.array(out, dtype=np.int64)
 
 
 def prefix_ties(rows, ncols, big) -> Ties:
@@ -408,9 +403,9 @@ def prefix_ties(rows, ncols, big) -> Ties:
     placement of r gives an image below its target.  One placement puts r
     at a level d <= k = len(rows), after a state that survives levels
     0..d-1 of the block's own search, with row sign +-1 (+1 alone at d = 0);
-    its target is the block's row d, or r itself at d = k.  The table holds
-    one row per placement (_placements).  `big` must exceed every entry
-    magnitude of the children too.
+    its target is the block's row d, or r itself at d = k.
+    placement_table lists them all from the record's levels.  `big` must
+    exceed every entry magnitude of the children too.
     """
     levels = []
     if _level_search(rows, ncols, True, big, levels) is None:
@@ -452,10 +447,11 @@ def extend_ties(ties: Ties, row) -> Ties | None:
 def children_verdicts(ties: Ties, cand: np.ndarray):
     """Prefix-canonicality of rows + [r] for every row r of `cand` at once.
 
-    `ties` is the tie record of rows (prefix_ties or extend_ties).  In the
-    child's search the states that use only rows of the block at level d
-    are exactly the block's own states after level d, so the child fails
-    if one of the placements beats its target.  An image equal to row d
+    `ties` is the tie record of rows (prefix_ties or extend_ties), and
+    the call builds its placements once (placement_table).  In the child's
+    search the states that use only rows of the block at level d are
+    exactly the block's own states after level d, so the child fails if
+    one of the placements beats its target.  An image equal to row d
     for d < k keeps a state that uses r, which only the continued search,
     extend_ties, can follow.
 
@@ -465,7 +461,8 @@ def children_verdicts(ties: Ties, cand: np.ndarray):
     """
     m, ncols = cand.shape
     k, big = len(ties.rows), ties.big
-    src, lift, level = ties.table[:, :ncols], ties.table[:, ncols:-1], ties.table[:, -1]
+    placements = placement_table(ties)
+    src, lift, level = placements[:, :ncols], placements[:, ncols:-1], placements[:, -1]
     # the packed rows; level k compares with r instead
     packed_rows = pack_keys(np.array(ties.kpos, dtype=np.int64).reshape(k, ncols), big)
     target, last = np.append(packed_rows, 0)[level], level == k

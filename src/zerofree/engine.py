@@ -254,13 +254,14 @@ class SearchCheckpoint:
     uninterrupted run.
 
     The text form is an append-only JSON-lines journal.  The first line is
-    a header with format_version, query and total_units; each further line
-    records one finished unit as an object of exactly three keys: its
-    index, its payload and a sha256 digest of both.  A search writes the
-    header, then keeps the journal open and appends and flushes one line
-    per finished unit, in unit order, so a journal is a prefix of the unit
-    order: record k must be unit k, below total_units, and `completed`
-    maps units 0..k-1 to their payloads in that order.  A torn write leaves
+    a header with format_version (CHECKPOINT_VERSION, the only one read),
+    query and total_units; each further line records one finished unit as
+    an object of exactly three keys: its index, its payload and a sha256
+    digest of both.  A search writes the header, then keeps the journal
+    open and appends and flushes one line per finished unit, in unit order,
+    so a journal is a prefix of the unit order: record k must be unit k,
+    below total_units, and `completed` is the list of the payloads of units
+    0..k-1, so a unit's index is its position there.  A torn write leaves
     one torn last line: text after the last newline, or else a last line
     that is not JSON.  from_json drops it and counts its characters in
     `torn_tail`.  Any other malformed line, a digest mismatch or a unit out
@@ -269,20 +270,19 @@ class SearchCheckpoint:
     requires that query to be its own.
     """
 
-    format_version: int
     query: dict
     total_units: int
-    completed: dict[int, dict]
+    completed: list[dict]
     torn_tail: int = field(default=0, compare=False)
 
     def to_json(self) -> str:
         header = {
-            "format_version": self.format_version,
+            "format_version": CHECKPOINT_VERSION,
             "query": self.query,
             "total_units": self.total_units,
         }
         return json.dumps(header, sort_keys=True) + "\n" + "".join(
-            _unit_line(i, self.completed[i]) for i in sorted(self.completed)
+            _unit_line(i, payload) for i, payload in enumerate(self.completed)
         )
 
     @classmethod
@@ -306,7 +306,7 @@ class SearchCheckpoint:
         ):
             raise CheckpointError("malformed checkpoint header")
         *lines, tail = body.split("\n")
-        cp = cls(CHECKPOINT_VERSION, header["query"], header["total_units"], {}, len(tail))
+        cp = cls(header["query"], header["total_units"], [], len(tail))
         for lineno, line in enumerate(lines, 2):
             try:
                 record = json.loads(line)
@@ -330,7 +330,7 @@ class SearchCheckpoint:
                 raise CheckpointError(
                     f"checkpoint unit {index} on line {lineno} holds a leaf its query cannot have"
                 )
-            cp.completed[index] = payload
+            cp.completed.append(payload)
         return cp
 
 
@@ -535,8 +535,9 @@ def _ladder(n: int, rows) -> list[np.ndarray]:
 
 
 def _jacobi_cap(n: int, depth: int, alpha: int, beta_cap: int | None) -> int | None:
-    """Bound on depth x depth minors implied by a capped inverse, if useful."""
-    if beta_cap is None or depth >= n:
+    """Bound on depth x depth minors, depth < n, implied by a capped inverse,
+    if useful."""
+    if beta_cap is None:
         return None
     bound = factorial(n - depth) * beta_cap ** (n - depth)
     natural = factorial(depth) * alpha**depth
@@ -1205,7 +1206,7 @@ def _run_search(
             # cut the torn last write, so the next record starts its own line
             os.truncate(checkpoint_path, os.path.getsize(checkpoint_path) - cp.torn_tail)
     else:
-        cp = SearchCheckpoint(CHECKPOINT_VERSION, params.query(), len(prefixes), {})
+        cp = SearchCheckpoint(params.query(), len(prefixes), [])
         if checkpoint_path is not None:
             save_checkpoint(checkpoint_path, cp)
     journaled = len(cp.completed)
@@ -1241,7 +1242,7 @@ def _run_search(
     # written and flushed as soon as it is kept
     appending = open(checkpoint_path, "a") if checkpoint_path is not None else nullcontext()
     with closing(computed()) as rest, appending as out:
-        for index, payload in enumerate(itertools.chain(cp.completed.values(), rest)):
+        for index, payload in enumerate(itertools.chain(cp.completed, rest)):
             left = budget_left()
             if payload is None or (left is not None and payload["nodes"] > left):
                 break

@@ -1,8 +1,11 @@
 """Plain-text matrix serialization: one row-major integer vector per line.
 
-Lines of whitespace- or comma-separated integers round-trip bit-exactly;
-'#' starts a comment, so enumeration headers never break a parser that just
-wants the matrices.
+Lines of integers separated by commas or ASCII whitespace (space, tab,
+CR, LF, VT, FF) round-trip bit-exactly; a line that starts with '#' is a
+comment, so enumeration headers never break a parser that just wants the
+matrices.  Any other character stays in its token, so non-ASCII
+whitespace and the ASCII separators U+001C..U+001F are errors, not
+separators.
 """
 
 from __future__ import annotations
@@ -96,6 +99,11 @@ def format_matrix_line(m: IntMatrix) -> str:
     return str(m)
 
 
+def _not_an_integer(tok: bytes, line_no: int | None) -> MatrixParseError:
+    tok = tok.decode("utf-8", "surrogatepass")
+    return MatrixParseError(f"not an integer: {tok!r}", line_no)
+
+
 def parse_matrix_line(
     text: str,
     *,
@@ -105,24 +113,26 @@ def parse_matrix_line(
 ) -> IntMatrix:
     """Parse one row-major vector into a square matrix.
 
-    Every token is an optional sign and ASCII digits.  The dimension is
-    inferred as the integer square root of the token count unless expect_n
-    pins it.  Distinct diagnostics cover malformed tokens, non-square
-    counts, and zero entries in zerofree contexts.
+    Tokens are separated by commas and ASCII whitespace alone, and every
+    token is an optional sign and ASCII digits.  The dimension is inferred
+    as the integer square root of the token count unless expect_n pins it.
+    Distinct diagnostics cover malformed tokens, non-square counts, and
+    zero entries in zerofree contexts.
     """
-    tokens = text.replace(",", " ").split()
-    if not text.isascii() or "_" in text:
-        # int() also reads digit-group underscores and non-ASCII digits,
-        # which the writer never writes
+    # bytes.split() splits on ASCII whitespace alone, and int() reads only
+    # ASCII digits from bytes, so every other character fails its token
+    tokens = text.replace(",", " ").encode("utf-8", "surrogatepass").split()
+    if "_" in text:
+        # int() also reads digit-group underscores, which the writer never writes
         for tok in tokens:
-            if not tok.isascii() or "_" in tok:
-                raise MatrixParseError(f"not an integer: {tok!r}", line_no)
+            if b"_" in tok:
+                raise _not_an_integer(tok, line_no)
     values = []
     for tok in tokens:
         try:
             values.append(int(tok))
         except ValueError:
-            raise MatrixParseError(f"not an integer: {tok!r}", line_no) from None
+            raise _not_an_integer(tok, line_no) from None
     if not values:
         raise MatrixParseError("empty matrix line", line_no)
     if expect_n is not None:
@@ -143,9 +153,10 @@ def parse_matrix_line(
 
 
 def iter_matrix_lines(lines, *, require_nonzero: bool = False):
-    """Yield (line_no, IntMatrix) for every non-comment, non-blank line."""
+    """Yield (line_no, IntMatrix) for every line that is neither blank
+    (ASCII whitespace alone) nor a comment."""
     for line_no, line in enumerate(lines, start=1):
-        stripped = line.strip()
+        stripped = line.strip(" \t\n\r\v\f")
         if not stripped or stripped.startswith("#"):
             continue
         yield line_no, parse_matrix_line(stripped, line_no=line_no, require_nonzero=require_nonzero)

@@ -24,6 +24,7 @@ from zerofree.canonical import (
     key_big,
     minimize_rows,
     orbit_equivalent,
+    placement_table,
     prefix_ties,
     random_zerofree_matrix,
     structural_cmp,
@@ -390,7 +391,7 @@ def test_prefix_ties_records_unmerged_levels(monkeypatch):
 
 
 def _placement_rows(ties):
-    return sorted(map(tuple, ties.table.tolist()))
+    return sorted(map(tuple, placement_table(ties).tolist()))
 
 
 def _children(rows, n, rng, zeros, count):

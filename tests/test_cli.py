@@ -124,6 +124,24 @@ def test_canon_missing_input_file_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: ") and "missing.txt" in err
 
 
+@pytest.mark.parametrize("line", ["1\u00a02 3 4", "\u30001 2 3 4", "1\x1c2 3 4"])
+def test_canon_rejects_separators_that_are_not_ascii_whitespace(capsys, monkeypatch, line):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(line + "\n"))
+    code, out, err = run(capsys, "canon")
+    assert (code, out) == (2, "")
+    assert "not an integer" in err
+
+
+def test_canon_accepts_tab_cr_and_ff_separators(capsys, monkeypatch):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO("2\t1\r1\f1\n"))
+    code, out, _ = run(capsys, "canon")
+    assert (code, out) == (0, "1 1 1 2\n")
+
+
 def test_canon_rejects_zero_entry(capsys, monkeypatch):
     import io
 

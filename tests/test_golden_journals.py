@@ -13,7 +13,13 @@ from pathlib import Path
 import pytest
 
 from zerofree.cli import main
-from zerofree.engine import CheckpointError, ClassQuery, enumerate_classes, load_checkpoint
+from zerofree.engine import (
+    CheckpointError,
+    ClassQuery,
+    SearchCheckpoint,
+    enumerate_classes,
+    load_checkpoint,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -36,12 +42,22 @@ def test_a_cut_n3_journal_resumes_to_its_golden_file(tmp_path, threads):
     path = tmp_path / "cut.ckpt"
     # the header and the first 10 of the 36 units
     path.write_bytes(b"".join(golden.splitlines(keepends=True)[:11]))
-    assert sorted(load_checkpoint(str(path)).completed) == list(range(10))
+    assert len(load_checkpoint(str(path)).completed) == 10
     q = ClassQuery(3, 3, 5, thread_budget=threads)
     resumed = enumerate_classes(q, checkpoint_path=str(path), resume=True)
     assert resumed.complete
     assert (resumed.total_count, resumed.nodes_explored) == (6, 419)
     assert path.read_bytes() == golden
+
+
+def test_a_cut_journal_loads_as_its_payloads_and_writes_back_its_bytes():
+    # `completed` is the payloads of units 0..k-1, so the record's index is
+    # its position, and to_json numbers the units again by position
+    cut = b"".join((DATA / "journal_3_3_5.jsonl").read_bytes().splitlines(keepends=True)[:11])
+    cp = SearchCheckpoint.from_json(cut.decode())
+    assert isinstance(cp.completed, list) and len(cp.completed) == 10
+    assert all(set(payload) == {"found", "nodes"} for payload in cp.completed)
+    assert cp.to_json().encode() == cut
 
 
 def test_a_journal_with_a_gap_is_rejected(tmp_path, capsys):
@@ -72,7 +88,7 @@ def test_a_golden_partial_journal_resumes_to_the_fresh_one(tmp_path, fresh_4_3_3
     fresh, fresh_bytes = fresh_4_3_3
     path = tmp_path / "golden.ckpt"
     shutil.copyfile(DATA / "journal_4_3_3_first50.jsonl", path)
-    assert sorted(load_checkpoint(str(path)).completed) == list(range(50))
+    assert len(load_checkpoint(str(path)).completed) == 50
     q = ClassQuery(4, 3, 3, thread_budget=threads)
     resumed = enumerate_classes(q, checkpoint_path=str(path), resume=True)
     assert resumed.complete and fresh.complete

@@ -203,16 +203,13 @@ def test_every_placement_table_the_engine_builds_has_distinct_rows(monkeypatch):
     # test, so their rows are independent, and no two states of one level
     # agree in profiles and signs
     tables = []
-    table = canonical.Ties.table
+    build = canonical.placement_table
 
     def recorded(ties):
-        built = ties._table is None
-        out = table.fget(ties)
-        if built:
-            tables.append(out)
-        return out
+        tables.append(build(ties))
+        return tables[-1]
 
-    monkeypatch.setattr(canonical.Ties, "table", property(recorded))
+    monkeypatch.setattr(canonical, "placement_table", recorded)
     engine.enumerate_classes(engine.ClassQuery(4, 3, 3, thread_budget=1))
     engine.max_beta_search(4, 2, "unrestricted", thread_budget=1)
     assert len(tables) > 100

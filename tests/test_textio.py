@@ -60,6 +60,20 @@ def test_parse_rejects_what_int_reads_but_does_not_write(token):
     assert parse_matrix_line("+1 2 3 -4") == IntMatrix.from_rows([[1, 2], [3, -4]])
 
 
+@pytest.mark.parametrize("sep", ["\u00a0", "\u3000", "\x1c", "\x1f", "\x85", "\u2028"])
+def test_parse_separates_on_ascii_whitespace_and_commas_alone(sep):
+    # str.split() also splits on non-ASCII whitespace and U+001C..U+001F,
+    # which the writer never writes: such a character stays in its token
+    with pytest.raises(MatrixParseError, match="not an integer"):
+        parse_matrix_line(f"1{sep}2 3 4")
+    with pytest.raises(MatrixParseError, match="not an integer"):
+        list(iter_matrix_lines([f"{sep}1 2 3 4\n"]))
+    expected = IntMatrix.from_rows([[1, 2], [3, 4]])
+    assert parse_matrix_line("1\t2\r3\f4\v") == expected
+    assert parse_matrix_line(" 1,2 ,\t3 4\n") == expected
+    assert list(iter_matrix_lines(["\f\t1 2 3 4\r\n", "\v\r\n"])) == [(1, expected)]
+
+
 def test_parse_rejects_zero_in_zerofree_context():
     with pytest.raises(MatrixParseError, match="zero"):
         parse_matrix_line("1 0 1 2", require_nonzero=True)
